@@ -58,7 +58,6 @@ class BridgeSession:
             raise BridgeError(f"cannot start emulator server: {exc}") from exc
         self.width = self.height = 0
         self.legal_actions: list[int] = []
-        self.frame_count = 0
         self._handshake(rom)
 
     def _send(self, line: str) -> None:
@@ -119,7 +118,6 @@ class BridgeSession:
                                  dtype=np.uint8)
             planes.append(data.astype(np.float64).reshape(
                 self.height, self.width) / 255.0)
-        self.frame_count += 1
         return Observation(*planes), reward, done
 
     def close(self) -> None:

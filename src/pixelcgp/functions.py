@@ -11,7 +11,9 @@ A node's output is always constrain(p * f(x, y, p)): the parameter weights
 the function result element-wise and the result is clamped to [-1, 1] with
 non-finite elements replaced by 0. Division by zero, undefined moments of
 constant vectors and similar hazards are absorbed by that constraining step;
-apply() never raises.
+apply() never raises. apply() never mutates its operands either: it writes
+only into arrays it allocated itself, so a node's output can be another
+node's operand without a defensive copy.
 
 Scalar formulas use math.*; matrix formulas use the corresponding numpy
 ufuncs and plain np.sum reductions. Both choices are deterministic, so any
@@ -21,12 +23,14 @@ reimplementation using the same primitives reproduces results bit-exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .values import Value, crop_to_common, index_from_unit, scalar_of
+from .values import (Value, constrain_product, crop_to_common, index_from_unit,
+                     scalar_of)
 
 _SQRT2 = math.sqrt(2.0)
 _EXP_DEN = math.e - 1.0
@@ -37,7 +41,6 @@ class FunctionSpec:
     id: int
     name: str
     arity: int
-    broadcasting: bool
     impl: Callable[[Value, Value, float], Value] = field(repr=False)
     needs_matrix: bool = False   # wire-through when x is scalar
     can_nonfinite: bool = False  # result may contain NaN/inf before constraining
@@ -68,36 +71,94 @@ def _scalar_y(y: Value) -> float:
     return scalar_of(y) if isinstance(y, np.ndarray) else float(y)
 
 
-def _bin(x: Value, y: Value, sf, mf) -> Value:
-    """Dispatch a broadcasting binary op: sf on two scalars, mf otherwise."""
-    xm = isinstance(x, np.ndarray)
-    ym = isinstance(y, np.ndarray)
-    if xm and ym:
-        x, y = crop_to_common(x, y)
-        return mf(x, y)
-    if xm or ym:
-        return mf(x, y)
-    return sf(x, y)
+def _bin(sf, mf):
+    """Broadcasting binary function: sf on two scalars, mf otherwise.
+
+    Two matrix operands are first cropped to their common top-left block.
+    """
+    def impl(x, y, p):
+        xm = isinstance(x, np.ndarray)
+        ym = isinstance(y, np.ndarray)
+        if xm and ym:
+            return mf(*crop_to_common(x, y))
+        if xm or ym:
+            return mf(x, y)
+        return sf(x, y)
+    return impl
 
 
-def _un(x: Value, sf, mf) -> Value:
-    """Dispatch a broadcasting unary op: sf on a scalar, mf on a matrix."""
-    return mf(x) if isinstance(x, np.ndarray) else sf(x)
+def _un(sf, mf):
+    """Broadcasting unary function: sf on a scalar, mf on a matrix."""
+    def impl(x, y, p):
+        return mf(x) if isinstance(x, np.ndarray) else sf(x)
+    return impl
 
 
 # --- mathematical -----------------------------------------------------------
 
-def _add(x, y, p):
-    return _bin(x, y, lambda a, b: (a + b) / 2.0, lambda a, b: (a + b) / 2.0)
+# Matrix kernels allocate their result once and finish it in place with
+# out=, applying the same ufuncs in the same order as the plain expression
+# in their comment, so results are bit-identical to it. Operands of a
+# broadcasting kernel are two equal-shape matrices or a matrix and a scalar.
+
+def _add_m(a, b):
+    # (a + b) / 2
+    out = np.add(a, b)
+    return np.divide(out, 2.0, out=out)
 
 
-def _aminus(x, y, p):
-    return _bin(x, y, lambda a, b: abs(a - b) / 2.0,
-                lambda a, b: np.abs(a - b) / 2.0)
+def _aminus_m(a, b):
+    # abs(a - b) / 2
+    out = np.subtract(a, b)
+    np.abs(out, out=out)
+    return np.divide(out, 2.0, out=out)
 
 
-def _mult(x, y, p):
-    return _bin(x, y, lambda a, b: a * b, lambda a, b: a * b)
+def _ypow_m(a, b):
+    # abs(a) ** abs(b)
+    a, b = np.abs(a), np.abs(b)
+    return np.power(a, b, out=a if isinstance(a, np.ndarray) else b)
+
+
+def _expx_m(m):
+    # (exp(m) - 1) / (e - 1)
+    out = np.exp(m)
+    np.subtract(out, 1.0, out=out)
+    return np.divide(out, _EXP_DEN, out=out)
+
+
+def _sqrtxy_m(a, b):
+    # sqrt(a * a + b * b) / sqrt(2)
+    aa, bb = np.multiply(a, a), np.multiply(b, b)
+    out = aa if isinstance(aa, np.ndarray) else bb
+    np.add(aa, bb, out=out)
+    np.sqrt(out, out=out)
+    return np.divide(out, _SQRT2, out=out)
+
+
+def _acos_m(m):
+    # arccos(m) / pi
+    out = np.arccos(m)
+    return np.divide(out, math.pi, out=out)
+
+
+def _asin_m(m):
+    # 2 * arcsin(m) / pi
+    out = np.arcsin(m)
+    np.multiply(2.0, out, out=out)
+    return np.divide(out, math.pi, out=out)
+
+
+def _atan_m(m):
+    # 4 * arctan(m) / pi
+    out = np.arctan(m)
+    np.multiply(4.0, out, out=out)
+    return np.divide(out, math.pi, out=out)
+
+
+_add = _bin(lambda a, b: (a + b) / 2.0, _add_m)
+_aminus = _bin(lambda a, b: abs(a - b) / 2.0, _aminus_m)
+_mult = _bin(operator.mul, operator.mul)
 
 
 def _cmult(x, y, p):
@@ -123,48 +184,25 @@ def _abs(x, y, p):
 
 def _sqrt(x, y, p):
     if isinstance(x, np.ndarray):
-        return np.sqrt(np.abs(x))
+        out = np.abs(x)
+        return np.sqrt(out, out=out)
     return math.sqrt(abs(x))
 
 
 def _cpow(x, y, p):
-    return _un(x, lambda e: math.pow(abs(e), p + 1.0),
-               lambda m: np.power(np.abs(m), p + 1.0))
+    if isinstance(x, np.ndarray):
+        out = np.abs(x)
+        return np.power(out, p + 1.0, out=out)
+    return math.pow(abs(x), p + 1.0)
 
 
-def _ypow(x, y, p):
-    return _bin(x, y, lambda a, b: math.pow(abs(a), abs(b)),
-                lambda a, b: np.power(np.abs(a), np.abs(b)))
-
-
-def _expx(x, y, p):
-    return _un(x, lambda e: (math.exp(e) - 1.0) / _EXP_DEN,
-               lambda m: (np.exp(m) - 1.0) / _EXP_DEN)
-
-
-def _sinx(x, y, p):
-    return _un(x, math.sin, np.sin)
-
-
-def _sqrtxy(x, y, p):
-    return _bin(x, y,
-                lambda a, b: math.sqrt(a * a + b * b) / _SQRT2,
-                lambda a, b: np.sqrt(a * a + b * b) / _SQRT2)
-
-
-def _acos(x, y, p):
-    return _un(x, lambda e: math.acos(e) / math.pi,
-               lambda m: np.arccos(m) / math.pi)
-
-
-def _asin(x, y, p):
-    return _un(x, lambda e: 2.0 * math.asin(e) / math.pi,
-               lambda m: 2.0 * np.arcsin(m) / math.pi)
-
-
-def _atan(x, y, p):
-    return _un(x, lambda e: 4.0 * math.atan(e) / math.pi,
-               lambda m: 4.0 * np.arctan(m) / math.pi)
+_ypow = _bin(lambda a, b: math.pow(abs(a), abs(b)), _ypow_m)
+_expx = _un(lambda e: (math.exp(e) - 1.0) / _EXP_DEN, _expx_m)
+_sinx = _un(math.sin, np.sin)
+_sqrtxy = _bin(lambda a, b: math.sqrt(a * a + b * b) / _SQRT2, _sqrtxy_m)
+_acos = _un(lambda e: math.acos(e) / math.pi, _acos_m)
+_asin = _un(lambda e: 2.0 * math.asin(e) / math.pi, _asin_m)
+_atan = _un(lambda e: 4.0 * math.atan(e) / math.pi, _atan_m)
 
 
 # --- statistical (matrix-requiring, wire on scalar x) -----------------------
@@ -174,7 +212,7 @@ def _stddev(x, y, p):
     if n < 2:
         return math.nan
     d = x - (float(np.sum(x)) / n)
-    return math.sqrt(float(np.sum(d * d)) / (n - 1))
+    return math.sqrt(float(np.sum(np.multiply(d, d, out=d))) / (n - 1))
 
 
 def _central_moments(x: np.ndarray) -> tuple[float, float, float]:
@@ -182,8 +220,8 @@ def _central_moments(x: np.ndarray) -> tuple[float, float, float]:
     d = x - (float(np.sum(x)) / n)
     d2 = d * d
     m2 = float(np.sum(d2)) / n
-    m3 = float(np.sum(d2 * d)) / n
-    m4 = float(np.sum(d2 * d2)) / n
+    m3 = float(np.sum(np.multiply(d2, d, out=d))) / n    # d3 overwrites d
+    m4 = float(np.sum(np.multiply(d2, d2, out=d2))) / n  # d4 overwrites d2
     return m2, m3, m4
 
 
@@ -234,22 +272,24 @@ def _min1(x, y, p):
 
 # --- comparison -------------------------------------------------------------
 
-def _lt(x, y, p):
-    return _bin(x, y, lambda a, b: 1.0 if a < b else 0.0,
-                lambda a, b: np.less(a, b).astype(np.float64))
+def _shape(a, b) -> tuple:
+    return a.shape if isinstance(a, np.ndarray) else b.shape
 
 
-def _gt(x, y, p):
-    return _bin(x, y, lambda a, b: 1.0 if a > b else 0.0,
-                lambda a, b: np.greater(a, b).astype(np.float64))
+def _lt_m(a, b):
+    # float(a < b), the bool result written straight into float64
+    return np.less(a, b, out=np.empty(_shape(a, b)))
 
 
-def _max2(x, y, p):
-    return _bin(x, y, lambda a, b: max(a, b), np.maximum)
+def _gt_m(a, b):
+    # float(a > b)
+    return np.greater(a, b, out=np.empty(_shape(a, b)))
 
 
-def _min2(x, y, p):
-    return _bin(x, y, lambda a, b: min(a, b), np.minimum)
+_lt = _bin(lambda a, b: 1.0 if a < b else 0.0, _lt_m)
+_gt = _bin(lambda a, b: 1.0 if a > b else 0.0, _gt_m)
+_max2 = _bin(max, np.maximum)
+_min2 = _bin(min, np.minimum)
 
 
 # --- list processing (matrix-requiring, wire on scalar x) -------------------
@@ -386,81 +426,81 @@ def _ones(x, y, p):
     return np.ones(x.shape, dtype=np.float64)
 
 
-def _spec(fid, name, arity, broadcasting, impl, *, needs_matrix=False,
+def _spec(fid, name, arity, impl, *, needs_matrix=False,
           can_nonfinite=False, trace_x=None, trace_y=None) -> FunctionSpec:
     if trace_x is None:
         trace_x = arity >= 1
     if trace_y is None:
         trace_y = arity >= 2
-    return FunctionSpec(fid, name, arity, broadcasting, impl,
+    return FunctionSpec(fid, name, arity, impl,
                         needs_matrix=needs_matrix, can_nonfinite=can_nonfinite,
                         trace_x=trace_x, trace_y=trace_y)
 
 
 _TABLE = [
     # mathematical
-    ("ADD", 2, True, _add, {}),
-    ("AMINUS", 2, True, _aminus, {}),
-    ("MULT", 2, True, _mult, {}),
-    ("CMULT", 1, True, _cmult, {}),
-    ("INV", 1, True, _inv, {"can_nonfinite": True}),
-    ("ABS", 1, True, _abs, {}),
-    ("SQRT", 1, True, _sqrt, {}),
-    ("CPOW", 1, True, _cpow, {}),
-    ("YPOW", 2, True, _ypow, {}),
-    ("EXPX", 1, True, _expx, {}),
-    ("SINX", 1, True, _sinx, {}),
-    ("SQRTXY", 2, True, _sqrtxy, {}),
-    ("ACOS", 1, True, _acos, {}),
-    ("ASIN", 1, True, _asin, {}),
-    ("ATAN", 1, True, _atan, {}),
+    ("ADD", 2, _add, {}),
+    ("AMINUS", 2, _aminus, {}),
+    ("MULT", 2, _mult, {}),
+    ("CMULT", 1, _cmult, {}),
+    ("INV", 1, _inv, {"can_nonfinite": True}),
+    ("ABS", 1, _abs, {}),
+    ("SQRT", 1, _sqrt, {}),
+    ("CPOW", 1, _cpow, {}),
+    ("YPOW", 2, _ypow, {}),
+    ("EXPX", 1, _expx, {}),
+    ("SINX", 1, _sinx, {}),
+    ("SQRTXY", 2, _sqrtxy, {}),
+    ("ACOS", 1, _acos, {}),
+    ("ASIN", 1, _asin, {}),
+    ("ATAN", 1, _atan, {}),
     # statistical
-    ("STDDEV", 1, False, _stddev, {"needs_matrix": True, "can_nonfinite": True}),
-    ("SKEW", 1, False, _skew, {"needs_matrix": True, "can_nonfinite": True}),
-    ("KURTOSIS", 1, False, _kurtosis, {"needs_matrix": True, "can_nonfinite": True}),
-    ("MEAN", 1, False, _mean, {"needs_matrix": True}),
-    ("RANGE", 1, False, _range, {"needs_matrix": True}),
-    ("ROUND", 1, False, _round, {"needs_matrix": True}),
-    ("CEIL", 1, False, _ceil, {"needs_matrix": True}),
-    ("FLOOR", 1, False, _floor, {"needs_matrix": True}),
-    ("MAX1", 1, False, _max1, {"needs_matrix": True}),
-    ("MIN1", 1, False, _min1, {"needs_matrix": True}),
+    ("STDDEV", 1, _stddev, {"needs_matrix": True, "can_nonfinite": True}),
+    ("SKEW", 1, _skew, {"needs_matrix": True, "can_nonfinite": True}),
+    ("KURTOSIS", 1, _kurtosis, {"needs_matrix": True, "can_nonfinite": True}),
+    ("MEAN", 1, _mean, {"needs_matrix": True}),
+    ("RANGE", 1, _range, {"needs_matrix": True}),
+    ("ROUND", 1, _round, {"needs_matrix": True}),
+    ("CEIL", 1, _ceil, {"needs_matrix": True}),
+    ("FLOOR", 1, _floor, {"needs_matrix": True}),
+    ("MAX1", 1, _max1, {"needs_matrix": True}),
+    ("MIN1", 1, _min1, {"needs_matrix": True}),
     # comparison
-    ("LT", 2, True, _lt, {}),
-    ("GT", 2, True, _gt, {}),
-    ("MAX2", 2, True, _max2, {}),
-    ("MIN2", 2, True, _min2, {}),
+    ("LT", 2, _lt, {}),
+    ("GT", 2, _gt, {}),
+    ("MAX2", 2, _max2, {}),
+    ("MIN2", 2, _min2, {}),
     # list processing
-    ("SPLIT_BEFORE", 1, False, _split_before, {"needs_matrix": True}),
-    ("SPLIT_AFTER", 1, False, _split_after, {"needs_matrix": True}),
-    ("RANGE_IN", 2, False, _range_in, {"needs_matrix": True}),
-    ("INDEX_Y", 2, False, _index_y, {"needs_matrix": True}),
-    ("INDEX_P", 1, False, _index_p, {"needs_matrix": True}),
-    ("VECTORIZE", 1, False, _vectorize, {"needs_matrix": True}),
-    ("FIRST", 1, False, _first, {"needs_matrix": True}),
-    ("LAST", 1, False, _last, {"needs_matrix": True}),
-    ("DIFFERENCES", 1, False, _differences, {"needs_matrix": True}),
-    ("AVG_DIFFERENCES", 1, False, _avg_differences, {"needs_matrix": True}),
-    ("ROTATE", 1, False, _rotate, {"needs_matrix": True}),
-    ("REVERSE", 1, False, _reverse, {"needs_matrix": True}),
-    ("PUSH_BACK", 2, False, _push_back, {}),
-    ("PUSH_FRONT", 2, False, _push_front, {}),
-    ("SET", 2, False, _set, {}),
-    ("SUM", 1, False, _sum, {"needs_matrix": True}),
-    ("TRANSPOSE", 1, False, _transpose, {"needs_matrix": True}),
-    ("VECFROMDOUBLE", 1, False, _vecfromdouble, {}),
+    ("SPLIT_BEFORE", 1, _split_before, {"needs_matrix": True}),
+    ("SPLIT_AFTER", 1, _split_after, {"needs_matrix": True}),
+    ("RANGE_IN", 2, _range_in, {"needs_matrix": True}),
+    ("INDEX_Y", 2, _index_y, {"needs_matrix": True}),
+    ("INDEX_P", 1, _index_p, {"needs_matrix": True}),
+    ("VECTORIZE", 1, _vectorize, {"needs_matrix": True}),
+    ("FIRST", 1, _first, {"needs_matrix": True}),
+    ("LAST", 1, _last, {"needs_matrix": True}),
+    ("DIFFERENCES", 1, _differences, {"needs_matrix": True}),
+    ("AVG_DIFFERENCES", 1, _avg_differences, {"needs_matrix": True}),
+    ("ROTATE", 1, _rotate, {"needs_matrix": True}),
+    ("REVERSE", 1, _reverse, {"needs_matrix": True}),
+    ("PUSH_BACK", 2, _push_back, {}),
+    ("PUSH_FRONT", 2, _push_front, {}),
+    ("SET", 2, _set, {}),
+    ("SUM", 1, _sum, {"needs_matrix": True}),
+    ("TRANSPOSE", 1, _transpose, {"needs_matrix": True}),
+    ("VECFROMDOUBLE", 1, _vecfromdouble, {}),
     # miscellaneous
-    ("YWIRE", 1, False, _ywire, {"trace_x": False, "trace_y": True}),
-    ("NOP", 1, False, _nop, {}),
-    ("CONST", 0, False, _const, {}),
-    ("CONSTVECTORD", 1, False, _constvectord, {"needs_matrix": True}),
-    ("ZEROS", 1, False, _zeros, {"needs_matrix": True}),
-    ("ONES", 1, False, _ones, {"needs_matrix": True}),
+    ("YWIRE", 1, _ywire, {"trace_x": False, "trace_y": True}),
+    ("NOP", 1, _nop, {}),
+    ("CONST", 0, _const, {}),
+    ("CONSTVECTORD", 1, _constvectord, {"needs_matrix": True}),
+    ("ZEROS", 1, _zeros, {"needs_matrix": True}),
+    ("ONES", 1, _ones, {"needs_matrix": True}),
 ]
 
 FUNCTIONS: list[FunctionSpec] = [
-    _spec(i, name, arity, bc, impl, **kw)
-    for i, (name, arity, bc, impl, kw) in enumerate(_TABLE)
+    _spec(i, name, arity, impl, **kw)
+    for i, (name, arity, impl, kw) in enumerate(_TABLE)
 ]
 
 N_FUNCTIONS = len(FUNCTIONS)
@@ -475,18 +515,14 @@ def function_from_gene(f_gene: float) -> FunctionSpec:
 
 
 def apply(spec: FunctionSpec, x: Value, y: Value, p: float) -> Value:
-    """Evaluate a node function: constrain(p * f(x, y, p)), never raising."""
+    """Evaluate a node function: constrain(p * f(x, y, p)), never raising.
+
+    x and y are never mutated. A matrix result is an array apply allocated
+    itself: the kernel's fresh output, scaled and clamped in place, or one
+    new array when the kernel returned a view of an operand.
+    """
     if spec.needs_matrix and not isinstance(x, np.ndarray):
         raw = x  # wire: scalar passes through (the p weight still applies)
     else:
         raw = spec.impl(x, y, p)
-    if isinstance(raw, np.ndarray):
-        scaled = p * raw
-        clipped = np.minimum(1.0, np.maximum(-1.0, scaled))
-        if spec.can_nonfinite:
-            return np.where(np.isfinite(scaled), clipped, 0.0)
-        return clipped
-    scaled = p * raw
-    if not math.isfinite(scaled):
-        return 0.0
-    return min(1.0, max(-1.0, scaled))
+    return constrain_product(p, raw, x, y, spec.can_nonfinite)

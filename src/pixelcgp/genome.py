@@ -71,7 +71,6 @@ class Node:
     yi: int
     spec: fns.FunctionSpec
     p: float
-    active: bool = False
 
 
 @dataclass
@@ -86,24 +85,20 @@ class Program:
     def __post_init__(self):
         if not self.state:
             self.reset()
-        self._active_order = [
-            (self.n_input + k, nd) for k, nd in enumerate(self.nodes) if nd.active
-        ]
+        # evaluation plan: (node index, spec, x index, y index, p) for each
+        # active node in ascending order; inactive nodes are never run
+        active = trace_active(self)
+        self._plan = [(n, nd.spec, nd.xi, nd.yi, nd.p)
+                      for n, nd in enumerate(self.nodes, self.n_input)
+                      if n in active]
 
     @property
     def n_nodes(self) -> int:
         return self.n_input + len(self.nodes)
 
-    @property
-    def active(self) -> set[int]:
-        return trace_active(self)
-
     def reset(self) -> None:
         """Zero every node state (fresh-episode condition)."""
         self.state = [0.0] * self.n_nodes
-
-    def clone(self) -> "Program":
-        return Program(self.n_input, self.nodes, list(self.outputs))
 
     def step(self, inputs: list[Value]) -> list[Value]:
         """One synchronous pass: load inputs, update active nodes in order."""
@@ -111,13 +106,15 @@ class Program:
             raise ValueError(f"expected {self.n_input} inputs, got {len(inputs)}")
         state = self.state
         state[: self.n_input] = inputs
-        for n, nd in self._active_order:
-            state[n] = fns.apply(nd.spec, state[nd.xi], state[nd.yi], nd.p)
+        apply = fns.apply
+        for n, spec, xi, yi, p in self._plan:
+            state[n] = apply(spec, state[xi], state[yi], p)
         return [state[i] for i in self.outputs]
 
 
 def decode(genome: Genome) -> Program:
-    """Expand a genome into its program graph and mark the active nodes."""
+    """Expand a genome into its program graph; the Program it returns has
+    traced its active nodes once, into its evaluation plan."""
     N = genome.n_nodes
     genes = genome.genes
     outputs = [int(g * N) for g in genes[: genome.n_output]]
@@ -131,13 +128,7 @@ def decode(genome: Genome) -> Program:
             spec=fns.function_from_gene(fg),
             p=2.0 * pg - 1.0,
         ))
-    program = Program(genome.n_input, nodes, outputs)
-    for idx in trace_active(program):
-        if idx >= program.n_input:
-            nodes[idx - program.n_input].active = True
-    # re-derive the cached evaluation order now that flags are set
-    program.__post_init__()
-    return program
+    return Program(genome.n_input, nodes, outputs)
 
 
 def trace_active(program: Program) -> set[int]:

@@ -50,6 +50,14 @@ def parse_genome(text: str) -> Genome:
         raise FormatError(
             f"gene count {len(genes)} does not match header "
             f"(expected {n_output + 4 * C})")
+    # decode maps genes in [0, 1) to indices; 1.0 or NaN would index past
+    # the function table or the graph
+    bad = ~((genes >= 0.0) & (genes < 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"gene {i} is {float(genes[i])!r}, outside [0, 1)")
+    if not 0.0 <= r <= 1.0:
+        raise FormatError(f"recurrency r = {r!r} outside [0, 1]")
     return Genome(genes, n_input, n_output, C, r)
 
 
@@ -110,7 +118,25 @@ def parse_config(text: str) -> RunConfig:
                 setattr(cfg, attr, value)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
+    _validate_config(cfg)
     return cfg
+
+
+def _validate_config(cfg: RunConfig) -> None:
+    """Reject values no run can use; each would fail later with a traceback
+    (a zero lambda or episode count divides by zero) or decode genomes
+    outside their graph (r > 1)."""
+    for key in ("lambda", "episodes", "c", "n_eval"):
+        value = getattr(cfg, _KEY_TO_FIELD.get(key, key))
+        if value < 1:
+            raise FormatError(f"{key} = {value} must be at least 1")
+    for key in ("m_nodes", "m_output", "r"):
+        value = getattr(cfg, key)
+        if not 0.0 <= value <= 1.0:
+            raise FormatError(f"{key} = {value!r} outside [0, 1]")
+    # at p_fskip = 1 every frame is skipped and the frame cap is never reached
+    if not 0.0 <= cfg.p_fskip < 1.0:
+        raise FormatError(f"p_fskip = {cfg.p_fskip!r} outside [0, 1)")
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -6,7 +6,9 @@ Matrices are never empty (rows >= 1 and cols >= 1). Row-major element order
 is the single convention for every flattening and indexing operation.
 
 Values are treated as immutable: no function in this package mutates a
-matrix it received or handed out.
+matrix it received or handed out. The one in-place write, in
+constrain_product, goes only into an array that shares no memory with any
+value passed to it, i.e. a temporary the caller allocated itself.
 """
 
 from __future__ import annotations
@@ -32,14 +34,54 @@ def matrix(rows) -> np.ndarray:
 
 
 def constrain(v: Value) -> Value:
-    """Replace non-finite elements with 0, clamp the rest to [-1, 1]."""
-    if isinstance(v, np.ndarray):
-        clipped = np.minimum(1.0, np.maximum(-1.0, v))
-        return np.where(np.isfinite(v), clipped, 0.0)
-    v = float(v)
-    if not math.isfinite(v):
+    """Replace non-finite elements with 0, clamp the rest to [-1, 1].
+
+    v itself is left unchanged; a matrix result is a fresh array.
+    """
+    if not isinstance(v, np.ndarray):
+        v = float(v)
+    return constrain_product(1.0, v, v, None)
+
+
+def constrain_product(p: float, raw: Value, x: Value, y: Value,
+                      nonfinite: bool = True) -> Value:
+    """constrain(p * raw) without mutating the operands x and y.
+
+    x and y are the values raw was computed from (None stands for no
+    operand). A matrix raw that shares no memory with either is a temporary
+    handed over by the caller: it is scaled and clamped in place and
+    returned. Otherwise the product goes into one fresh array.
+
+    An array that owns its memory and is neither x nor y was not taken from
+    them (raw is only ever fresh, an operand, or a view of one), so only
+    views are checked with np.may_share_memory, a call that costs about as
+    much as a 12x12 ufunc.
+
+    Only when nonfinite is true are NaN and inf elements of the product
+    zeroed, before the clamp would turn inf finite; otherwise they pass the
+    clamp as minimum(1, maximum(-1, v)) would pass them. clip is bitwise
+    equal to that pair, signed zeros and NaN included.
+    """
+    if isinstance(raw, np.ndarray):
+        if raw.base is None:
+            shared = raw is x or raw is y
+        else:
+            shared = ((isinstance(x, np.ndarray) and np.may_share_memory(raw, x))
+                      or (isinstance(y, np.ndarray)
+                          and np.may_share_memory(raw, y)))
+        if shared:
+            out = p * raw
+        else:
+            out = np.multiply(p, raw, out=raw)
+        if nonfinite:
+            out[~np.isfinite(out)] = 0.0
+        # the method form: np.clip adds microseconds of Python dispatch,
+        # which small (12x12) matrices notice
+        return out.clip(-1.0, 1.0, out=out)
+    scaled = p * raw
+    if not math.isfinite(scaled):
         return 0.0
-    return min(1.0, max(-1.0, v))
+    return min(1.0, max(-1.0, scaled))
 
 
 def scalar_of(v: Value) -> float:

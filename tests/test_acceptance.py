@@ -11,6 +11,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 import oracle
 from catch_tracker import build_tracker
@@ -164,6 +165,7 @@ def _greedy_score(env_seed) -> float:
     return total
 
 
+@pytest.mark.slow
 def test_criterion_07_catch_capability():
     # (a) expressiveness: the hand-built tracker is a perfect player
     tracker = decode(build_tracker())

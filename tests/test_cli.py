@@ -43,6 +43,14 @@ def test_evolve_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_evolve_zero_lambda_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0\n")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_evolve_bad_env(tmp_path, capsys):
     assert cli.main(["evolve", "--env", "nosuch",
                      "--out", str(tmp_path)]) == cli.EXIT_ENV
@@ -74,6 +82,15 @@ def test_replay_trace_lists_active_nodes(tmp_path, capsys):
 def test_replay_missing_genome(tmp_path, capsys):
     assert cli.main(["replay", str(tmp_path / "no.cgp")]) == cli.EXIT_GENOME
     assert "genome error" in capsys.readouterr().err
+
+
+def test_replay_gene_of_one_is_genome_error(tmp_path, capsys):
+    path = tmp_path / "g.cgp"
+    genome = random_genome(3, 3, 10, 0.1, np.random.default_rng(0))
+    genome.genes[5] = 1.0
+    persist.save_genome(genome, path)
+    assert cli.main(["replay", str(path)]) == cli.EXIT_GENOME
+    assert "outside [0, 1)" in capsys.readouterr().err
 
 
 def test_replay_action_count_mismatch(tmp_path, capsys):

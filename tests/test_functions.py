@@ -164,3 +164,71 @@ def test_output_always_constrained(spec):
         else:
             assert math.isfinite(out)
             assert -1.0 <= out <= 1.0
+
+
+def _large_operands(rng):
+    """Atari-sized operands with signed zeros, exact zeros and +/-1 planted.
+
+    m160 is a transposed (column-major) view, as TRANSPOSE results are, and
+    the 1x65536 row a view into a bigger buffer, as capped PUSH results are.
+    """
+    def plane(shape):
+        m = rng.uniform(-1.0, 1.0, shape)
+        flat = m.reshape(-1)
+        flat[:8] = [0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 1.0, -1.0]
+        flat[rng.integers(0, flat.size, 64)] = 0.0
+        return m
+    row = plane((1, 2 * MAX_PUSH_ELEMENTS))[:, :MAX_PUSH_ELEMENTS]
+    return {"scalar": 0.5, "m12": plane((12, 12)), "m210": plane((210, 160)),
+            "m160": plane((210, 160)).T, "row": row}
+
+
+# pairs with the row put PUSH_BACK/PUSH_FRONT results at the element cap
+_ORACLE_PAIRS = [("m210", "m210"), ("m210", "m160"), ("m160", "m210"),
+                 ("m210", "scalar"), ("scalar", "m210"), ("row", "m210"),
+                 ("m210", "row"), ("row", "row"), ("row", "scalar"),
+                 ("scalar", "row")]
+
+
+@pytest.mark.parametrize("spec", FUNCTIONS, ids=lambda s: s.name)
+def test_matches_reference_at_atari_size(spec):
+    rng = np.random.default_rng(200 + spec.id)
+    ops = _large_operands(rng)
+    for xk, yk in _ORACLE_PAIRS:
+        for p in (0.37, -1.0, 1.0, 0.0):
+            x, y = ops[xk], ops[yk]
+            got = apply(spec, x, y, p)
+            want = oracle.ref_node_output(spec.name, x, y, p)
+            assert oracle.same_value(got, want), f"{spec.name} {xk},{yk} p={p}"
+            if isinstance(got, np.ndarray):
+                # same_value compares with ==, which equates 0.0 and -0.0
+                assert got.tobytes() == want.tobytes(), f"{spec.name} {xk},{yk}"
+
+
+_IMMUTABILITY_KINDS = ["scalar", "m12", "m210", "m160", "row"]
+
+
+@pytest.mark.parametrize("spec", FUNCTIONS, ids=lambda s: s.name)
+def test_apply_leaves_operands_unchanged(spec):
+    """apply scales and clamps kernel results in place; operands, including
+    an operand passed as both x and y, must never be written."""
+    ops = _large_operands(np.random.default_rng(300 + spec.id))
+    pairs = [(a, b) for a in _IMMUTABILITY_KINDS for b in _IMMUTABILITY_KINDS]
+    pairs += [("m210", "same"), ("row", "same")]
+    for xk, yk in pairs:
+        x = ops[xk]
+        y = x if yk == "same" else ops[yk]
+        before = [v.tobytes() if isinstance(v, np.ndarray) else v
+                  for v in (x, y)]
+        out = apply(spec, x, y, -0.6)
+        after = [v.tobytes() if isinstance(v, np.ndarray) else v
+                 for v in (x, y)]
+        assert after == before, f"{spec.name} mutated an operand ({xk},{yk})"
+        if isinstance(out, np.ndarray):
+            assert out.dtype == np.float64
+            for v in (x, y):
+                if isinstance(v, np.ndarray):
+                    assert not np.may_share_memory(out, v), (
+                        f"{spec.name} result aliases an operand ({xk},{yk})")
+        else:
+            assert type(out) is float, f"{spec.name} returned {type(out)}"

@@ -52,13 +52,24 @@ def test_decode_marks_active_nodes():
     genes[5:9] = [0.5 / 3, 3.5 / 4, 0.5 / 53, 0.9]  # node 4: ADD(in0, n3)
     prog = decode(Genome(genes, 3, 1, 2, 0.0))
     assert prog.outputs == [4]
-    assert prog.nodes[0].active and prog.nodes[1].active
     assert trace_active(prog) == {0, 3, 4}
+
+
+def test_inactive_nodes_are_never_evaluated():
+    # output reads node 3 only; node 4 (ADD of the input) is junk
+    genes = np.zeros(1 + 8)
+    genes[0] = 3.5 / 5
+    genes[1:5] = [0.1, 0.1, 0.5 / 53, 0.9]      # node 3: ADD(in0, in0)
+    genes[5:9] = [0.1, 0.1, 0.5 / 53, 0.9]      # node 4: ADD(in0, in0)
+    prog = decode(Genome(genes, 3, 1, 2, 0.0))
+    prog.step([0.5, 0.0, 0.0])
+    assert prog.state[3] != 0.0
+    assert prog.state[4] == 0.0
 
 
 def test_recurrent_self_loop_accumulates():
     # ADD(input, self) with p=1: 0 -> 0.5 -> 0.75 -> 0.875
-    node = Node(xi=0, yi=1, spec=FUNCTIONS_BY_NAME["ADD"], p=1.0, active=True)
+    node = Node(xi=0, yi=1, spec=FUNCTIONS_BY_NAME["ADD"], p=1.0)
     prog = Program(1, [node], [1])
     seen = [prog.step([1.0])[0] for _ in range(3)]
     assert seen == [0.5, 0.75, 0.875]
@@ -67,8 +78,8 @@ def test_recurrent_self_loop_accumulates():
 def test_lower_index_link_reads_fresh_value():
     add = FUNCTIONS_BY_NAME["ADD"]
     nodes = [
-        Node(xi=0, yi=0, spec=add, p=1.0, active=True),  # node 1 = in
-        Node(xi=1, yi=1, spec=add, p=1.0, active=True),  # node 2 reads node 1
+        Node(xi=0, yi=0, spec=add, p=1.0),  # node 1 = in
+        Node(xi=1, yi=1, spec=add, p=1.0),  # node 2 reads node 1
     ]
     prog = Program(1, nodes, [2])
     # both nodes settle within the same step
@@ -78,8 +89,8 @@ def test_lower_index_link_reads_fresh_value():
 def test_higher_index_link_reads_previous_step():
     add = FUNCTIONS_BY_NAME["ADD"]
     nodes = [
-        Node(xi=2, yi=2, spec=add, p=1.0, active=True),  # node 1 reads node 2
-        Node(xi=0, yi=0, spec=add, p=1.0, active=True),  # node 2 = in
+        Node(xi=2, yi=2, spec=add, p=1.0),  # node 1 reads node 2
+        Node(xi=0, yi=0, spec=add, p=1.0),  # node 2 = in
     ]
     prog = Program(1, nodes, [1])
     first = prog.step([0.8])[0]   # node 2 still holds 0 when node 1 runs
@@ -89,7 +100,7 @@ def test_higher_index_link_reads_previous_step():
 
 
 def test_reset_zeroes_state():
-    node = Node(xi=0, yi=1, spec=FUNCTIONS_BY_NAME["ADD"], p=1.0, active=True)
+    node = Node(xi=0, yi=1, spec=FUNCTIONS_BY_NAME["ADD"], p=1.0)
     prog = Program(1, [node], [1])
     prog.step([1.0])
     prog.reset()

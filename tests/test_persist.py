@@ -77,3 +77,49 @@ def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("env = catch\nseed = 3\n")
     assert load_config(path).seed == 3
+
+
+@pytest.mark.parametrize("gene", ["1", "1.5", "-0.25", "nan", "inf"])
+def test_genome_gene_outside_unit_interval(gene):
+    # a gene of 1.0 used to parse and then raise IndexError in decode
+    with pytest.raises(FormatError, match="outside \\[0, 1\\)"):
+        parse_genome(f"CGP1 1 1 1 0.0\n0.5 0.5 0.5 {gene} 0.5\n")
+
+
+@pytest.mark.parametrize("r", ["1.5", "-0.1", "nan"])
+def test_genome_recurrency_outside_unit_interval(r):
+    with pytest.raises(FormatError, match="recurrency"):
+        parse_genome(f"CGP1 1 1 1 {r}\n0.5 0.5 0.5 0.5 0.5\n")
+
+
+def test_genome_accepts_interval_ends():
+    g = parse_genome("CGP1 1 1 1 1.0\n0 0.5 0.5 0.5 0.99999999999999989\n")
+    assert g.r == 1.0 and g.genes[0] == 0.0
+
+
+def test_config_zero_lambda_rejected():
+    # used to reach run_evolution and divide by zero
+    with pytest.raises(FormatError, match="lambda"):
+        parse_config("lambda = 0\n")
+
+
+def test_config_zero_episodes_rejected():
+    # used to divide by zero when averaging episode totals
+    with pytest.raises(FormatError, match="episodes"):
+        parse_config("episodes = 0\n")
+
+
+@pytest.mark.parametrize("line", [
+    "c = 0", "n_eval = 0", "lambda = -3",
+    "m_nodes = 1.5", "m_nodes = -0.1", "m_output = 2", "m_output = nan",
+    "r = 1.01", "r = -1", "p_fskip = 1", "p_fskip = -0.5", "p_fskip = nan",
+])
+def test_config_out_of_range_rejected(line):
+    with pytest.raises(FormatError, match=line.split()[0]):
+        parse_config(line + "\n")
+
+
+def test_config_accepts_range_ends():
+    cfg = parse_config("lambda = 1\nepisodes = 1\nc = 1\nn_eval = 1\n"
+                       "m_nodes = 0\nm_output = 1\nr = 1\np_fskip = 0\n")
+    assert (cfg.lam, cfg.r, cfg.p_fskip) == (1, 1.0, 0.0)
