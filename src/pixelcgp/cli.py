@@ -42,11 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> persist.RunConfig:
+def _load_config(args) -> evolution.RunConfig:
     if getattr(args, "config", None):
         cfg = persist.load_config(args.config)
     else:
-        cfg = persist.RunConfig()
+        cfg = evolution.RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "env", None):
@@ -56,33 +56,18 @@ def _load_config(args) -> persist.RunConfig:
     return cfg
 
 
-def _make_env(cfg: persist.RunConfig):
-    return envs.make_env(cfg.env, ale_server=cfg.ale_server or None,
-                         rom_dir=cfg.rom_dir or None)
-
-
 def cmd_evolve(args) -> int:
     try:
         cfg = _load_config(args)
     except (OSError, persist.FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        env = _make_env(cfg)
-    except Exception as exc:
-        print(f"environment error: {exc}", file=sys.stderr)
-        return EXIT_ENV
-    econf = evolution.EvolutionConfig(
-        n_output=env.n_actions, C=cfg.c, r=cfg.r, lam=cfg.lam,
-        n_eval=cfg.n_eval, m_nodes=cfg.m_nodes, m_output=cfg.m_output,
-        episodes_per_eval=cfg.episodes, p_fskip=cfg.p_fskip,
-        frame_cap=cfg.frame_cap, seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     log_path = os.path.join(cfg.out_dir, "log.txt")
     try:
         with open(log_path, "w") as log_fh:
             best, state = evolution.run_evolution(
-                econf, cfg.env, log_fn=lambda line: print(line, file=log_fh))
+                cfg, log_fn=lambda line: print(line, file=log_fh))
     except Exception as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENV
@@ -106,28 +91,34 @@ def cmd_replay(args) -> int:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
     try:
-        env = _make_env(cfg)
+        env = cfg.make_env()
     except Exception as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENV
-    if env.n_actions != genome.n_output:
-        print(f"genome error: {genome.n_output} outputs but environment "
-              f"has {env.n_actions} actions", file=sys.stderr)
-        return EXIT_GENOME
-    program = decode(genome)
-    active = sorted(i for i in trace_active(program) if i >= program.n_input)
+    try:
+        if env.n_actions != genome.n_output:
+            print(f"genome error: {genome.n_output} outputs but environment "
+                  f"has {env.n_actions} actions", file=sys.stderr)
+            return EXIT_GENOME
+        program = decode(genome)
+        active = sorted(i for i in trace_active(program)
+                        if i >= program.n_input)
 
-    def on_frame(i, action, reward, prog):
-        print(f"frame {i} action {action} reward {reward}")
-        if args.trace:
-            for n in active:
-                nd = prog.nodes[n - prog.n_input]
-                print(f"node {n} {nd.spec.name} {scalar_of(prog.state[n])}")
+        def on_frame(i, action, reward, prog):
+            print(f"frame {i} action {action} reward {reward}")
+            if args.trace:
+                for n in active:
+                    nd = prog.nodes[n - prog.n_input]
+                    print(f"node {n} {nd.spec.name} "
+                          f"{scalar_of(prog.state[n])}")
 
-    total = envs.run_episode(program, env, cfg.seed, p_fskip=cfg.p_fskip,
-                             frame_cap=cfg.frame_cap, on_frame=on_frame)
-    print(f"total {total}")
-    return EXIT_OK
+        total = envs.run_episode(program, env, cfg.seed, p_fskip=cfg.p_fskip,
+                                 frame_cap=cfg.frame_cap, on_frame=on_frame)
+        print(f"total {total}")
+        return EXIT_OK
+    finally:
+        if hasattr(env, "close"):
+            env.close()
 
 
 def cmd_export_dot(args) -> int:

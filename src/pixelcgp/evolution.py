@@ -33,23 +33,48 @@ LOG_LINE = "generation {g} evals {e} best {f}"
 
 
 @dataclass
-class EvolutionConfig:
-    n_input: int = envs.N_INPUT_PLANES
-    n_output: int = 3
-    C: int = 40
-    r: float = 0.1
+class RunConfig:
+    """One run's settings. The fields are the config-file keys, except that
+    the file spells lam "lambda". Values no run can use are rejected on
+    construction with ValueError."""
+
+    env: str = "catch"
     lam: int = 9
-    n_eval: int = 10000
+    c: int = 40
+    r: float = 0.1
     m_nodes: float = 0.1
     m_output: float = 0.6
-    episodes_per_eval: int = 1
+    n_eval: int = 10000
+    episodes: int = 1
     p_fskip: float = envs.DEFAULT_P_FSKIP
     frame_cap: int = envs.DEFAULT_FRAME_CAP
     seed: int = 0
+    out_dir: str = "."
+    ale_server: str = ""
+    rom_dir: str = ""
+
+    def __post_init__(self):
+        # each would fail later with a traceback (a zero lambda or episode
+        # count divides by zero) or decode genomes outside their graph (r > 1)
+        for key, value in (("lambda", self.lam), ("episodes", self.episodes),
+                           ("c", self.c), ("n_eval", self.n_eval)):
+            if value < 1:
+                raise ValueError(f"{key} = {value} must be at least 1")
+        for key in ("m_nodes", "m_output", "r"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} = {value!r} outside [0, 1]")
+        # at p_fskip = 1 every frame is skipped, so the frame cap is never met
+        if not 0.0 <= self.p_fskip < 1.0:
+            raise ValueError(f"p_fskip = {self.p_fskip!r} outside [0, 1)")
 
     @property
     def generations(self) -> int:
         return math.ceil(self.n_eval / self.lam)
+
+    def make_env(self):
+        """The run's environment; every evaluation plays in one built here."""
+        return envs.make_env(self.env, self.ale_server, self.rom_dir)
 
 
 @dataclass
@@ -121,51 +146,67 @@ def evaluate(genome: Genome, environment, episodes_per_eval: int,
     return sum(totals) / len(totals)
 
 
+_worker = None   # (config, env) of a pool worker process, set by _init_worker
+
+
+def _init_worker(config: RunConfig) -> None:
+    global _worker
+    _worker = (config, config.make_env())
+
+
 def _eval_task(args) -> float:
-    genes, n_input, n_output, C, r, env_name, episodes, seed, p_fskip, cap = args
-    genome = Genome(np.asarray(genes), n_input, n_output, C, r)
-    return evaluate(genome, envs.make_env(env_name), episodes, seed,
-                    p_fskip=p_fskip, frame_cap=cap)
+    genes, n_input, n_output, seed = args
+    config, env = _worker
+    genome = Genome(np.asarray(genes), n_input, n_output, config.c, config.r)
+    return evaluate(genome, env, config.episodes, seed,
+                    p_fskip=config.p_fskip, frame_cap=config.frame_cap)
 
 
 class _Evaluator:
-    """Evaluates offspring batches, optionally in worker processes."""
+    """Evaluates offspring batches, optionally in worker processes.
 
-    def __init__(self, config: EvolutionConfig, env_name: str, workers: int):
+    The env is built once here and once in each worker process.
+    """
+
+    def __init__(self, config: RunConfig, workers: int):
         self.config = config
-        self.env_name = env_name
-        self.pool = ProcessPoolExecutor(workers) if workers > 1 else None
-        self.env = envs.make_env(env_name) if self.pool is None else None
+        self.env = config.make_env()
+        self.pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
+                                         initargs=(config,))
+                     if workers > 1 else None)
 
     def __call__(self, genomes: list[Genome],
                  seeds: list[int]) -> list[float]:
         c = self.config
         if self.pool is None:
             return [
-                evaluate(g, self.env, c.episodes_per_eval, seed,
+                evaluate(g, self.env, c.episodes, seed,
                          p_fskip=c.p_fskip, frame_cap=c.frame_cap)
                 for g, seed in zip(genomes, seeds)
             ]
-        tasks = [
-            (g.genes, g.n_input, g.n_output, g.C, g.r, self.env_name,
-             c.episodes_per_eval, seed, c.p_fskip, c.frame_cap)
-            for g, seed in zip(genomes, seeds)
-        ]
+        tasks = [(g.genes, g.n_input, g.n_output, seed)
+                 for g, seed in zip(genomes, seeds)]
         return list(self.pool.map(_eval_task, tasks))
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown()
+        if hasattr(self.env, "close"):
+            self.env.close()
 
 
-def run_evolution(config: EvolutionConfig, env_name: str = "catch",
-                  workers: int = 1, log_fn=None) -> tuple[Genome, EvolutionState]:
-    """Full 1+lambda run; returns the final elite and the run state."""
+def run_evolution(config: RunConfig, workers: int = 1,
+                  log_fn=None) -> tuple[Genome, EvolutionState]:
+    """Full 1+lambda run; returns the final elite and the run state.
+
+    The genome has one input per observation plane and one output per
+    action of the config's environment.
+    """
     rng = np.random.default_rng(config.seed)
-    evaluator = _Evaluator(config, env_name, workers)
+    evaluator = _Evaluator(config, workers)
     try:
-        elite = random_genome(config.n_input, config.n_output, config.C,
-                              config.r, rng)
+        elite = random_genome(envs.N_INPUT_PLANES, evaluator.env.n_actions,
+                              config.c, config.r, rng)
         elite_seed = eval_seed_for(config.seed, 0, 0)
         elite_fit = evaluator([elite], [elite_seed])[0]
         state = EvolutionState(elite, elite_fit, elite_seed,

@@ -12,11 +12,11 @@ bit-exact. Config files are flat ``key = value`` lines; blank lines and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
-from .envs import DEFAULT_FRAME_CAP, DEFAULT_P_FSKIP
+from .evolution import RunConfig
 from .genome import Genome
 
 GENOME_MAGIC = "CGP1"
@@ -71,33 +71,16 @@ def load_genome(path) -> Genome:
         return parse_genome(fh.read())
 
 
-@dataclass
-class RunConfig:
-    env: str = "catch"
-    lam: int = 9
-    c: int = 40
-    r: float = 0.1
-    m_nodes: float = 0.1
-    m_output: float = 0.6
-    n_eval: int = 10000
-    episodes: int = 1
-    p_fskip: float = DEFAULT_P_FSKIP
-    frame_cap: int = DEFAULT_FRAME_CAP
-    seed: int = 0
-    out_dir: str = "."
-    ale_server: str = ""
-    rom_dir: str = ""
-
-
 # config files spell the offspring count "lambda"; the dataclass field
 # avoids the Python keyword
 _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,35 +91,14 @@ def parse_config(text: str) -> RunConfig:
         attr = _KEY_TO_FIELD.get(key, key)
         if attr not in types or (attr in _FIELD_TO_KEY and key != "lambda"):
             raise FormatError(f"line {lineno}: unknown key {key!r}")
-        kind = types[attr]
         try:
-            if kind == "int":
-                setattr(cfg, attr, int(value))
-            elif kind == "float":
-                setattr(cfg, attr, float(value))
-            else:
-                setattr(cfg, attr, value)
+            values[attr] = _PARSERS[types[attr]](value)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    """Reject values no run can use; each would fail later with a traceback
-    (a zero lambda or episode count divides by zero) or decode genomes
-    outside their graph (r > 1)."""
-    for key in ("lambda", "episodes", "c", "n_eval"):
-        value = getattr(cfg, _KEY_TO_FIELD.get(key, key))
-        if value < 1:
-            raise FormatError(f"{key} = {value} must be at least 1")
-    for key in ("m_nodes", "m_output", "r"):
-        value = getattr(cfg, key)
-        if not 0.0 <= value <= 1.0:
-            raise FormatError(f"{key} = {value!r} outside [0, 1]")
-    # at p_fskip = 1 every frame is skipped and the frame cap is never reached
-    if not 0.0 <= cfg.p_fskip < 1.0:
-        raise FormatError(f"p_fskip = {cfg.p_fskip!r} outside [0, 1)")
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -21,18 +21,6 @@ import numpy as np
 Value = Union[float, np.ndarray]
 
 
-def is_matrix(v: Value) -> bool:
-    return isinstance(v, np.ndarray)
-
-
-def matrix(rows) -> np.ndarray:
-    """Build a 2-D float64 matrix from nested lists (test/construction aid)."""
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"matrix must be 2-D and non-empty, got shape {m.shape}")
-    return m
-
-
 def constrain(v: Value) -> Value:
     """Replace non-finite elements with 0, clamp the rest to [-1, 1].
 

@@ -52,6 +52,11 @@ def crop2(a, b):
     return a[:r, :c], b[:r, :c]
 
 
+def matrix(rows):
+    """2-D float64 matrix from nested lists, for building test operands."""
+    return np.array(rows, dtype=np.float64)
+
+
 def row(v):
     if isinstance(v, np.ndarray):
         return v.reshape(-1)

@@ -20,13 +20,12 @@ from test_genome import _recursive_eval
 from pixelcgp.dot import export_dot
 from pixelcgp.envs import (Catch, FrameSkip, Observation, episode_seeds,
                            run_episode)
-from pixelcgp.evolution import (EvolutionConfig, evaluate, mutate,
-                                run_evolution)
+from pixelcgp.evolution import RunConfig, evaluate, mutate, run_evolution
 from pixelcgp.functions import FUNCTIONS
 from pixelcgp.genome import connection_index, decode, random_genome, \
     trace_active
-from pixelcgp.persist import (RunConfig, parse_config, parse_genome,
-                              serialize_config, serialize_genome)
+from pixelcgp.persist import (parse_config, parse_genome, serialize_config,
+                              serialize_genome)
 
 _shared = {}  # genomes produced by earlier criteria, reused by later ones
 
@@ -108,17 +107,17 @@ def test_criterion_04_mutation_counts():
 
 
 def test_criterion_05_evolution_invariants():
-    gens_ok = EvolutionConfig(lam=9, n_eval=10000).generations == 1112
-    cfg = EvolutionConfig(C=10, lam=9, n_eval=90, seed=17)
-    _, state = run_evolution(cfg, "catch")
+    gens_ok = RunConfig(lam=9, n_eval=10000).generations == 1112
+    cfg = RunConfig(c=10, lam=9, n_eval=90, seed=17)
+    _, state = run_evolution(cfg)
     fits = [rec.best_fitness for rec in state.log]
     monotone = all(b >= a for a, b in zip(fits, fits[1:]))
     identical = True
     for seed in range(5):
-        small = EvolutionConfig(C=10, lam=9, n_eval=18, seed=seed)
+        small = RunConfig(c=10, lam=9, n_eval=18, seed=seed)
         serial, parallel = [], []
-        run_evolution(small, "catch", workers=1, log_fn=serial.append)
-        run_evolution(small, "catch", workers=9, log_fn=parallel.append)
+        run_evolution(small, workers=1, log_fn=serial.append)
+        run_evolution(small, workers=9, log_fn=parallel.append)
         if serial != parallel:
             identical = False
     _report(5, "evolution invariants",
@@ -180,8 +179,8 @@ def test_criterion_07_catch_capability():
     seeds = list(range(5))
     best_fits = []
     for seed in seeds:
-        cfg = EvolutionConfig(seed=seed)  # C=40, lam=9, n_eval=10000
-        _, state = run_evolution(cfg, "catch")
+        cfg = RunConfig(seed=seed)  # c=40, lam=9, n_eval=10000
+        _, state = run_evolution(cfg)
         best_fits.append(state.elite_fitness)
         _shared.setdefault("evolved", []).append(state.elite)
     rng = np.random.default_rng(0)
@@ -244,10 +243,10 @@ def test_criterion_09_round_trips():
     cfg = RunConfig(lam=7, seed=12, p_fskip=0.125, n_eval=321)
     c_ok = parse_config(serialize_config(cfg)) == cfg
 
-    run_cfg = EvolutionConfig(C=20, lam=9, n_eval=45, seed=8)
-    elite, state = run_evolution(run_cfg, "catch")
+    run_cfg = RunConfig(c=20, lam=9, n_eval=45, seed=8)
+    elite, state = run_evolution(run_cfg)
     reloaded = parse_genome(serialize_genome(elite))
-    replay = evaluate(reloaded, Catch(), run_cfg.episodes_per_eval,
+    replay = evaluate(reloaded, Catch(), run_cfg.episodes,
                       state.elite_seed, p_fskip=run_cfg.p_fskip,
                       frame_cap=run_cfg.frame_cap)
     r_ok = replay == state.elite_fitness
@@ -262,8 +261,7 @@ def test_criterion_10_dot_export_active_only():
     if evolved:
         best = evolved[0]
     else:  # criterion 7 did not run; evolve a small stand-in
-        best, _ = run_evolution(EvolutionConfig(C=20, n_eval=45, seed=2),
-                                "catch")
+        best, _ = run_evolution(RunConfig(c=20, n_eval=45, seed=2))
     text = export_dot(best)
     declared = {int(m) for m in re.findall(r"^  n(\d+) \[", text, re.M)}
     active = trace_active(decode(best))

@@ -1,9 +1,16 @@
+import os
+import shlex
+import sys
+
 import numpy as np
 
 from pixelcgp import cli, persist
+from pixelcgp.envs import Catch, register_env
 from pixelcgp.genome import random_genome
 
 from catch_tracker import build_tracker
+
+STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
 
 
 def test_evolve_writes_outputs(tmp_path, capsys):
@@ -34,6 +41,20 @@ def test_evolve_then_replay_matches_logged_fitness(tmp_path, capsys):
                      "--config", str(cfg), "--seed", str(seed)]) == cli.EXIT_OK
     total = float(capsys.readouterr().out.splitlines()[-1].split()[1])
     assert total == logged
+
+
+def test_evolve_ale_env(tmp_path, capsys):
+    # ale_server used to stop at the CLI, so every ale:* evolve exited 3
+    server = shlex.join([sys.executable, STUB, "ok"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"env = ale:pong\nale_server = {server}\nc = 10\n"
+                   "n_eval = 4\nlambda = 2\nseed = 4\n")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("best ")
+    log = (tmp_path / "run" / "log.txt").read_text().splitlines()
+    assert len(log) == 3
+    assert persist.load_genome(tmp_path / "run" / "best.cgp").n_output == 3
 
 
 def test_evolve_bad_config(tmp_path, capsys):
@@ -77,6 +98,22 @@ def test_replay_trace_lists_active_nodes(tmp_path, capsys):
                      "--trace"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "node " in out and " SUM " in out
+
+
+class _ClosingCatch(Catch):
+    closed = 0
+
+    def close(self):
+        type(self).closed += 1
+
+
+def test_replay_closes_its_env(tmp_path, capsys):
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    register_env("closing-catch", _ClosingCatch)
+    assert cli.main(["replay", str(path), "--env", "closing-catch"]) \
+        == cli.EXIT_OK
+    assert _ClosingCatch.closed == 1
 
 
 def test_replay_missing_genome(tmp_path, capsys):

@@ -1,15 +1,21 @@
+import os
+import shlex
+import sys
+
 import numpy as np
 
-from pixelcgp.envs import register_env
-from pixelcgp.evolution import (EvolutionConfig, eval_seed_for, evaluate,
-                                mutate, run_evolution)
+from pixelcgp.envs import N_INPUT_PLANES, register_env
+from pixelcgp.evolution import (RunConfig, eval_seed_for, evaluate, mutate,
+                                run_evolution)
 from pixelcgp.genome import random_genome
+
+STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
 
 
 def test_generation_count():
-    assert EvolutionConfig(lam=9, n_eval=10000).generations == 1112
-    assert EvolutionConfig(lam=9, n_eval=9).generations == 1
-    assert EvolutionConfig(lam=9, n_eval=10).generations == 2
+    assert RunConfig(lam=9, n_eval=10000).generations == 1112
+    assert RunConfig(lam=9, n_eval=9).generations == 1
+    assert RunConfig(lam=9, n_eval=10).generations == 2
 
 
 def test_mutation_counts_exact():
@@ -49,10 +55,10 @@ def test_eval_seed_for_is_stable_and_distinct():
 
 
 def test_elite_seed_reproduces_logged_fitness():
-    cfg = EvolutionConfig(C=15, lam=5, n_eval=20, seed=4)
-    elite, state = run_evolution(cfg, "catch")
+    cfg = RunConfig(c=15, lam=5, n_eval=20, seed=4)
+    elite, state = run_evolution(cfg)
     from pixelcgp.envs import Catch
-    replay = evaluate(elite, Catch(), cfg.episodes_per_eval, state.elite_seed,
+    replay = evaluate(elite, Catch(), cfg.episodes, state.elite_seed,
                       p_fskip=cfg.p_fskip, frame_cap=cfg.frame_cap)
     assert replay == state.elite_fitness
 
@@ -89,8 +95,8 @@ class _CountEnv:
 
 def test_elite_fitness_is_monotone():
     register_env("count", _CountEnv)
-    cfg = EvolutionConfig(C=10, lam=4, n_eval=40, p_fskip=0.0, seed=5)
-    _, state = run_evolution(cfg, "count")
+    cfg = RunConfig(env="count", c=10, lam=4, n_eval=40, p_fskip=0.0, seed=5)
+    _, state = run_evolution(cfg)
     fits = [rec.best_fitness for rec in state.log]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
     assert state.evaluations_used == 1 + 4 * cfg.generations
@@ -105,28 +111,67 @@ class _FlatEnv(_CountEnv):
 def test_neutral_drift_replaces_elite_on_ties():
     # every genome scores 0, so the elite genome must still change
     register_env("flat", _FlatEnv)
-    cfg = EvolutionConfig(C=10, lam=4, n_eval=20, p_fskip=0.0, seed=6)
-    elite, state = run_evolution(cfg, "flat")
+    cfg = RunConfig(env="flat", c=10, lam=4, n_eval=20, p_fskip=0.0, seed=6)
+    elite, state = run_evolution(cfg)
     assert state.elite_fitness == 0.0
     first = state.log[0].best_fitness
     assert first == 0.0
     rng = np.random.default_rng(cfg.seed)
-    initial = random_genome(cfg.n_input, cfg.n_output, cfg.C, cfg.r, rng)
+    initial = random_genome(N_INPUT_PLANES, _FlatEnv.n_actions, cfg.c, cfg.r,
+                            rng)
     assert not np.array_equal(elite.genes, initial.genes)
 
 
 def test_serial_and_parallel_logs_match():
     lines_serial, lines_parallel = [], []
     for seed in range(3):
-        cfg = EvolutionConfig(C=10, lam=4, n_eval=12, seed=seed)
-        run_evolution(cfg, "catch", workers=1, log_fn=lines_serial.append)
-        run_evolution(cfg, "catch", workers=4, log_fn=lines_parallel.append)
+        cfg = RunConfig(c=10, lam=4, n_eval=12, seed=seed)
+        run_evolution(cfg, workers=1, log_fn=lines_serial.append)
+        run_evolution(cfg, workers=4, log_fn=lines_parallel.append)
     assert lines_serial == lines_parallel
 
 
 def test_log_line_format():
-    cfg = EvolutionConfig(C=10, lam=2, n_eval=2, seed=0)
+    cfg = RunConfig(c=10, lam=2, n_eval=2, seed=0)
     lines = []
-    run_evolution(cfg, "catch", log_fn=lines.append)
+    run_evolution(cfg, log_fn=lines.append)
     assert lines[0].startswith("generation 0 evals 1 best ")
     assert lines[1].startswith("generation 1 evals 3 best ")
+
+
+def test_serial_run_closes_its_env():
+    closed = []
+
+    class Closing(_CountEnv):
+        def close(self):
+            closed.append(self)
+
+    register_env("closing", Closing)
+    run_evolution(RunConfig(env="closing", c=10, lam=2, n_eval=4))
+    assert len(closed) == 1
+
+
+def _counting_server(path) -> str:
+    """Stub server command that appends a line to path on every start."""
+    stub = shlex.join([sys.executable, STUB, "ok"])
+    return shlex.join(["sh", "-c", f"echo >> {shlex.quote(str(path))}; "
+                                   f"exec {stub}"])
+
+
+def test_ale_serial_and_parallel_logs_match(tmp_path):
+    # ale_server must reach the parent's env and every worker's env; at
+    # seed 4 the elite improves in both generations
+    logs, starts = {}, {}
+    for workers in (1, 2):
+        count = tmp_path / f"starts{workers}"
+        cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
+                        ale_server=_counting_server(count))
+        logs[workers] = []
+        run_evolution(cfg, workers=workers, log_fn=logs[workers].append)
+        starts[workers] = len(count.read_text().splitlines())
+    assert len({line.split()[-1] for line in logs[1]}) == 3
+    assert logs[1] == logs[2]
+    # one server per episode (9) plus one action-count probe per env built:
+    # the parent's and at most one per worker, not one per evaluation
+    assert starts[1] == 9 + 1
+    assert starts[2] <= 9 + 1 + 2

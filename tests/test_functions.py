@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import matrix
 from pixelcgp.functions import (FUNCTIONS, FUNCTIONS_BY_NAME,
                                 MAX_PUSH_ELEMENTS, N_FUNCTIONS, apply,
                                 function_from_gene)
-from pixelcgp.values import matrix
 
 EXPECTED_ORDER = [
     "ADD", "AMINUS", "MULT", "CMULT", "INV", "ABS", "SQRT", "CPOW", "YPOW",

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracle import matrix
 from pixelcgp.functions import FUNCTIONS_BY_NAME, apply
 from pixelcgp.genome import (Genome, Node, Program, connection_index, decode,
                              random_genome, select_action, trace_active)
-from pixelcgp.values import matrix
 
 
 def test_genome_length_validation():

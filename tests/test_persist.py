@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from pixelcgp.evolution import RunConfig
 from pixelcgp.genome import random_genome
-from pixelcgp.persist import (FormatError, RunConfig, load_config, load_genome,
+from pixelcgp.persist import (FormatError, load_config, load_genome,
                               parse_config, parse_genome, save_genome,
                               serialize_config, serialize_genome)
 
@@ -97,26 +98,35 @@ def test_genome_accepts_interval_ends():
     assert g.r == 1.0 and g.genes[0] == 0.0
 
 
+def _rejected_both_ways(line):
+    """A bad value fails in a config file and in a directly built config."""
+    key, value = line.split(" = ")
+    with pytest.raises(FormatError, match=key):
+        parse_config(line + "\n")
+    field = "lam" if key == "lambda" else key
+    kind = type(getattr(RunConfig(), field))
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{field: kind(value)})
+
+
 def test_config_zero_lambda_rejected():
     # used to reach run_evolution and divide by zero
-    with pytest.raises(FormatError, match="lambda"):
-        parse_config("lambda = 0\n")
+    _rejected_both_ways("lambda = 0")
 
 
 def test_config_zero_episodes_rejected():
     # used to divide by zero when averaging episode totals
-    with pytest.raises(FormatError, match="episodes"):
-        parse_config("episodes = 0\n")
+    _rejected_both_ways("episodes = 0")
 
 
 @pytest.mark.parametrize("line", [
     "c = 0", "n_eval = 0", "lambda = -3",
     "m_nodes = 1.5", "m_nodes = -0.1", "m_output = 2", "m_output = nan",
-    "r = 1.01", "r = -1", "p_fskip = 1", "p_fskip = -0.5", "p_fskip = nan",
+    "r = 1.01", "r = 1.5", "r = -1",
+    "p_fskip = 1", "p_fskip = -0.5", "p_fskip = nan",
 ])
 def test_config_out_of_range_rejected(line):
-    with pytest.raises(FormatError, match=line.split()[0]):
-        parse_config(line + "\n")
+    _rejected_both_ways(line)
 
 
 def test_config_accepts_range_ends():

