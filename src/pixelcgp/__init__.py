@@ -1,13 +1,1 @@
 """Mixed-type Cartesian Genetic Programming for pixel-input controllers."""
-
-from .functions import FUNCTIONS, FunctionSpec, apply, function_from_gene
-from .genome import (Genome, Program, connection_index, decode, random_genome,
-                     select_action, trace_active)
-from .values import Value, constrain, crop_to_common, index_from_unit, scalar_of
-
-__all__ = [
-    "FUNCTIONS", "FunctionSpec", "apply", "function_from_gene",
-    "Genome", "Program", "connection_index", "decode", "random_genome",
-    "select_action", "trace_active",
-    "Value", "constrain", "crop_to_common", "index_from_unit", "scalar_of",
-]

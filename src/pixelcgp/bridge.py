@@ -74,13 +74,11 @@ class BridgeSession:
         return raw.decode("ascii", errors="replace").strip()
 
     def _recv_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            chunk = self.proc.stdout.read(n - len(buf))
-            if not chunk:
-                raise BridgeError(
-                    f"short frame read: wanted {n} bytes, got {len(buf)}")
-            buf += chunk
+        # a buffered read returns fewer than n bytes only at end of stream
+        buf = self.proc.stdout.read(n)
+        if len(buf) != n:
+            raise BridgeError(
+                f"short frame read: wanted {n} bytes, got {len(buf)}")
         return buf
 
     def _handshake(self, rom: str) -> None:
@@ -110,14 +108,9 @@ class BridgeSession:
             done = bool(int(reply[2]))
         except ValueError as exc:
             raise BridgeError(f"malformed step reply: {reply}") from exc
-        plane_len = self.width * self.height
-        raw = self._recv_exact(3 * plane_len)
-        planes = []
-        for i in range(3):
-            data = np.frombuffer(raw[i * plane_len : (i + 1) * plane_len],
-                                 dtype=np.uint8)
-            planes.append(data.astype(np.float64).reshape(
-                self.height, self.width) / 255.0)
+        raw = self._recv_exact(3 * self.width * self.height)
+        planes = np.frombuffer(raw, dtype=np.uint8).reshape(
+            3, self.height, self.width) / 255.0
         return Observation(*planes), reward, done
 
     def close(self) -> None:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
-from . import envs, evolution, persist
+from . import evolution, persist
 from .dot import export_dot
-from .genome import decode, trace_active
 from .values import scalar_of
 
 EXIT_OK = 0
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--env", help="override the config environment")
     ev.add_argument("--out", help="override the output directory")
 
-    rp = sub.add_parser("replay", help="replay a genome for one episode")
+    rp = sub.add_parser("replay", help="replay a genome's evaluation")
     rp.add_argument("genome", help="genome file to replay")
     rp.add_argument("--config", help="run configuration file")
     rp.add_argument("--seed", type=int, default=None)
@@ -43,23 +43,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> evolution.RunConfig:
+    """The config file's settings with the command line's overrides; the
+    overrides pass RunConfig's checks too (ValueError)."""
     if getattr(args, "config", None):
         cfg = persist.load_config(args.config)
     else:
         cfg = evolution.RunConfig()
+    overrides = {}
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "env", None):
-        cfg.env = args.env
+        overrides["env"] = args.env
     if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    return cfg
+        overrides["out_dir"] = args.out
+    return dataclasses.replace(cfg, **overrides)
 
 
 def cmd_evolve(args) -> int:
     try:
         cfg = _load_config(args)
-    except (OSError, persist.FormatError) as exc:
+    except (OSError, ValueError, persist.FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -80,9 +83,11 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    """Replay the evaluation evolve logged: cfg.episodes episodes from eval
+    seed cfg.seed, printing each counted frame and then their mean."""
     try:
         cfg = _load_config(args)
-    except (OSError, persist.FormatError) as exc:
+    except (OSError, ValueError, persist.FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -95,30 +100,29 @@ def cmd_replay(args) -> int:
     except Exception as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENV
+
+    def on_frame(i, action, reward, prog):
+        print(f"frame {i} action {action} reward {reward}")
+        if args.trace:
+            # the plan lists the active program nodes in ascending order
+            for n, spec, *_ in prog.plan:
+                print(f"node {n} {spec.name} {scalar_of(prog.state[n])}")
+
     try:
-        if env.n_actions != genome.n_output:
-            print(f"genome error: {genome.n_output} outputs but environment "
-                  f"has {env.n_actions} actions", file=sys.stderr)
-            return EXIT_GENOME
-        program = decode(genome)
-        active = sorted(i for i in trace_active(program)
-                        if i >= program.n_input)
-
-        def on_frame(i, action, reward, prog):
-            print(f"frame {i} action {action} reward {reward}")
-            if args.trace:
-                for n in active:
-                    nd = prog.nodes[n - prog.n_input]
-                    print(f"node {n} {nd.spec.name} "
-                          f"{scalar_of(prog.state[n])}")
-
-        total = envs.run_episode(program, env, cfg.seed, p_fskip=cfg.p_fskip,
-                                 frame_cap=cfg.frame_cap, on_frame=on_frame)
-        print(f"total {total}")
-        return EXIT_OK
+        total = evolution.evaluate(genome, env, cfg.episodes, cfg.seed,
+                                   p_fskip=cfg.p_fskip,
+                                   frame_cap=cfg.frame_cap, on_frame=on_frame)
+    except evolution.GenomeMismatch as exc:
+        print(f"genome error: {exc}", file=sys.stderr)
+        return EXIT_GENOME
+    except Exception as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
+        return EXIT_ENV
     finally:
         if hasattr(env, "close"):
             env.close()
+    print(f"total {total}")
+    return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:

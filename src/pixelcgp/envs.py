@@ -67,7 +67,6 @@ class Catch:
         self.paddle = self.START_CENTER
         self.balls_remaining = self.BALLS
         self.ball = (0, int(self._rng.integers(self.GRID)))
-        self.score = 0.0
         self.done = False
         return self._render()
 
@@ -91,7 +90,6 @@ class Catch:
                 self.ball = (0, int(self._rng.integers(self.GRID)))
         else:
             self.ball = (row, col)
-        self.score += reward
         return self._render(), reward, self.done
 
     def _render(self) -> Observation:
@@ -119,10 +117,6 @@ class FrameSkip:
         self.last_action = 0
         self.counted_frames = 0
         self.skipped_frames = 0
-
-    @property
-    def n_actions(self) -> int:
-        return self.env.n_actions
 
     def reset(self, seed) -> Observation:
         self.last_action = 0

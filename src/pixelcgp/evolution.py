@@ -55,11 +55,15 @@ class RunConfig:
 
     def __post_init__(self):
         # each would fail later with a traceback (a zero lambda or episode
-        # count divides by zero) or decode genomes outside their graph (r > 1)
-        for key, value in (("lambda", self.lam), ("episodes", self.episodes),
-                           ("c", self.c), ("n_eval", self.n_eval)):
-            if value < 1:
-                raise ValueError(f"{key} = {value} must be at least 1")
+        # count divides by zero, numpy rejects a negative seed), decode
+        # genomes outside their graph (r > 1) or end every episode before
+        # its first frame (frame_cap < 1)
+        for key, value, least in (
+                ("lambda", self.lam, 1), ("episodes", self.episodes, 1),
+                ("c", self.c, 1), ("n_eval", self.n_eval, 1),
+                ("frame_cap", self.frame_cap, 1), ("seed", self.seed, 0)):
+            if value < least:
+                raise ValueError(f"{key} = {value} must be at least {least}")
         for key in ("m_nodes", "m_output", "r"):
             value = getattr(self, key)
             if not 0.0 <= value <= 1.0:
@@ -128,19 +132,30 @@ def mutate(parent: Genome, m_nodes: float, m_output: float,
     return parent.with_genes(genes)
 
 
+class GenomeMismatch(ValueError):
+    """A genome whose inputs or outputs do not fit the environment."""
+
+
 def evaluate(genome: Genome, environment, episodes_per_eval: int,
              eval_seed: int, p_fskip: float = 0.0,
-             frame_cap: int = envs.DEFAULT_FRAME_CAP) -> float:
-    """Mean total episode reward; deterministic given (genome, eval_seed)."""
-    if environment.n_actions != genome.n_output:
-        raise ValueError(
-            f"environment has {environment.n_actions} actions but genome "
-            f"has {genome.n_output} outputs"
-        )
+             frame_cap: int = envs.DEFAULT_FRAME_CAP, on_frame=None) -> float:
+    """Mean total episode reward; deterministic given (genome, eval_seed).
+
+    The genome must read the observation planes and have one output per
+    action of the environment, or GenomeMismatch is raised before any play.
+    on_frame is handed to every envs.run_episode call.
+    """
+    if (genome.n_input != envs.N_INPUT_PLANES
+            or genome.n_output != environment.n_actions):
+        raise GenomeMismatch(
+            f"genome has {genome.n_input} inputs and {genome.n_output} "
+            f"outputs, environment has {envs.N_INPUT_PLANES} planes and "
+            f"{environment.n_actions} actions")
     program = decode(genome)
     totals = [
         envs.run_episode(program, environment, eval_seed, episode=ep,
-                         p_fskip=p_fskip, frame_cap=frame_cap)
+                         p_fskip=p_fskip, frame_cap=frame_cap,
+                         on_frame=on_frame)
         for ep in range(episodes_per_eval)
     ]
     return sum(totals) / len(totals)
@@ -155,9 +170,8 @@ def _init_worker(config: RunConfig) -> None:
 
 
 def _eval_task(args) -> float:
-    genes, n_input, n_output, seed = args
+    genome, seed = args
     config, env = _worker
-    genome = Genome(np.asarray(genes), n_input, n_output, config.c, config.r)
     return evaluate(genome, env, config.episodes, seed,
                     p_fskip=config.p_fskip, frame_cap=config.frame_cap)
 
@@ -184,9 +198,7 @@ class _Evaluator:
                          p_fskip=c.p_fskip, frame_cap=c.frame_cap)
                 for g, seed in zip(genomes, seeds)
             ]
-        tasks = [(g.genes, g.n_input, g.n_output, seed)
-                 for g, seed in zip(genomes, seeds)]
-        return list(self.pool.map(_eval_task, tasks))
+        return list(self.pool.map(_eval_task, zip(genomes, seeds)))
 
     def close(self):
         if self.pool is not None:
@@ -205,16 +217,15 @@ def run_evolution(config: RunConfig, workers: int = 1,
     rng = np.random.default_rng(config.seed)
     evaluator = _Evaluator(config, workers)
     try:
-        elite = random_genome(envs.N_INPUT_PLANES, evaluator.env.n_actions,
+        first = random_genome(envs.N_INPUT_PLANES, evaluator.env.n_actions,
                               config.c, config.r, rng)
-        elite_seed = eval_seed_for(config.seed, 0, 0)
-        elite_fit = evaluator([elite], [elite_seed])[0]
-        state = EvolutionState(elite, elite_fit, elite_seed,
+        seed = eval_seed_for(config.seed, 0, 0)
+        state = EvolutionState(first, evaluator([first], [seed])[0], seed,
                                evaluations_used=1)
         _log(state, log_fn)
         for gen in range(1, config.generations + 1):
             offspring = [
-                mutate(elite, config.m_nodes, config.m_output, rng)
+                mutate(state.elite, config.m_nodes, config.m_output, rng)
                 for _ in range(config.lam)
             ]
             seeds = [eval_seed_for(config.seed, gen, i)
@@ -222,14 +233,12 @@ def run_evolution(config: RunConfig, workers: int = 1,
             fits = evaluator(offspring, seeds)
             state.evaluations_used += config.lam
             best_i = max(range(config.lam), key=lambda i: (fits[i], -i))
-            if fits[best_i] >= elite_fit:
-                elite, elite_fit = offspring[best_i], fits[best_i]
-                elite_seed = seeds[best_i]
-            state.elite, state.elite_fitness = elite, elite_fit
-            state.elite_seed = elite_seed
+            if fits[best_i] >= state.elite_fitness:
+                state.elite, state.elite_fitness, state.elite_seed = (
+                    offspring[best_i], fits[best_i], seeds[best_i])
             state.generation = gen
             _log(state, log_fn)
-        return elite, state
+        return state.elite, state
     finally:
         evaluator.close()
 

@@ -63,10 +63,6 @@ def _as_row(v: Value) -> np.ndarray:
     return np.array([v], dtype=np.float64)
 
 
-def _elems(m: np.ndarray) -> list:
-    return m.reshape(-1).tolist()
-
-
 def _scalar_y(y: Value) -> float:
     return scalar_of(y) if isinstance(y, np.ndarray) else float(y)
 

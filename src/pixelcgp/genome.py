@@ -32,6 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Genome:
+    """Validated on construction: a shape or gene decode cannot use raises
+    ValueError."""
+
     genes: np.ndarray
     n_input: int
     n_output: int
@@ -39,12 +42,25 @@ class Genome:
     r: float
 
     def __post_init__(self):
+        for key, value, least in (("n_input", self.n_input, 1),
+                                  ("n_output", self.n_output, 1),
+                                  ("C", self.C, 0)):
+            if value < least:
+                raise ValueError(f"{key} = {value} must be at least {least}")
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError(f"recurrency r = {self.r!r} outside [0, 1]")
         expected = self.n_output + 4 * self.C
         if len(self.genes) != expected:
             raise ValueError(
                 f"genome needs {expected} genes "
                 f"(n_output={self.n_output}, C={self.C}), got {len(self.genes)}"
             )
+        # decode maps genes in [0, 1) to indices; 1.0 or NaN would index past
+        # the function table or the graph (a NaN min or max compares false)
+        genes = self.genes
+        if not (genes.min() >= 0.0 and genes.max() < 1.0):
+            i = next(i for i, g in enumerate(genes) if not 0.0 <= g < 1.0)
+            raise ValueError(f"gene {i} is {float(genes[i])!r}, outside [0, 1)")
 
     @property
     def n_nodes(self) -> int:
@@ -88,9 +104,9 @@ class Program:
         # evaluation plan: (node index, spec, x index, y index, p) for each
         # active node in ascending order; inactive nodes are never run
         active = trace_active(self)
-        self._plan = [(n, nd.spec, nd.xi, nd.yi, nd.p)
-                      for n, nd in enumerate(self.nodes, self.n_input)
-                      if n in active]
+        self.plan = [(n, nd.spec, nd.xi, nd.yi, nd.p)
+                     for n, nd in enumerate(self.nodes, self.n_input)
+                     if n in active]
 
     @property
     def n_nodes(self) -> int:
@@ -107,7 +123,7 @@ class Program:
         state = self.state
         state[: self.n_input] = inputs
         apply = fns.apply
-        for n, spec, xi, yi, p in self._plan:
+        for n, spec, xi, yi, p in self.plan:
             state[n] = apply(spec, state[xi], state[yi], p)
         return [state[i] for i in self.outputs]
 

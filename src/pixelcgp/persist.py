@@ -46,19 +46,10 @@ def parse_genome(text: str) -> Genome:
         genes = np.array([float(t) for t in lines[1].split()])
     except ValueError as exc:
         raise FormatError(f"unparsable genome value: {exc}") from exc
-    if len(genes) != n_output + 4 * C:
-        raise FormatError(
-            f"gene count {len(genes)} does not match header "
-            f"(expected {n_output + 4 * C})")
-    # decode maps genes in [0, 1) to indices; 1.0 or NaN would index past
-    # the function table or the graph
-    bad = ~((genes >= 0.0) & (genes < 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FormatError(f"gene {i} is {float(genes[i])!r}, outside [0, 1)")
-    if not 0.0 <= r <= 1.0:
-        raise FormatError(f"recurrency r = {r!r} outside [0, 1]")
-    return Genome(genes, n_input, n_output, C, r)
+    try:
+        return Genome(genes, n_input, n_output, C, r)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def save_genome(genome: Genome, path) -> None:

@@ -3,6 +3,7 @@ import shlex
 import sys
 
 import numpy as np
+import pytest
 
 from pixelcgp import cli, persist
 from pixelcgp.envs import Catch, register_env
@@ -30,9 +31,12 @@ def test_evolve_writes_outputs(tmp_path, capsys):
     assert seed >= 0
 
 
-def test_evolve_then_replay_matches_logged_fitness(tmp_path, capsys):
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_evolve_then_replay_matches_logged_fitness(tmp_path, capsys,
+                                                   episodes):
+    # replay used to play episode 0 only, whatever the episode count
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("c = 20\nn_eval = 18\nseed = 3\n")
+    cfg.write_text(f"c = 20\nn_eval = 18\nseed = 3\nepisodes = {episodes}\n")
     assert cli.main(["evolve", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == cli.EXIT_OK
     logged = float(capsys.readouterr().out.split()[1])
@@ -150,3 +154,41 @@ def test_export_dot_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.cgp"
     bad.write_text("nonsense\n")
     assert cli.main(["export-dot", str(bad)]) == cli.EXIT_GENOME
+
+
+_SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
+_ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
+                 cli.EXIT_ENV: "environment error: ",
+                 cli.EXIT_GENOME: "genome error: "}
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    # a genome that does not read the three observation planes
+    pytest.param(
+        ["replay", "{tmp}/g.cgp"],
+        {"g.cgp": "CGP1 2 3 1 0.1\n0.5 0.5 0.5 0.5 0.5 0.5 0.5\n"},
+        cli.EXIT_GENOME, id="replay-two-inputs"),
+    pytest.param(
+        ["export-dot", "{tmp}/g.cgp"], {"g.cgp": "CGP1 0 5 -1 0.0\n0.0\n"},
+        cli.EXIT_GENOME, id="export-dot-negative-C"),
+    # the emulator sends a truncated first frame and exits
+    pytest.param(
+        ["replay", "{tmp}/g.cgp", "--config", "{tmp}/run.cfg"],
+        {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n",
+         "run.cfg": f"env = ale:pong\nale_server = {_SHORT_SERVER}\n"},
+        cli.EXIT_ENV, id="replay-short-frame"),
+    pytest.param(
+        ["replay", "{tmp}/g.cgp", "--seed", "-1"],
+        {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n"},
+        cli.EXIT_CONFIG, id="replay-negative-seed"),
+    pytest.param(
+        ["evolve", "--seed", "-1", "--out", "{tmp}/run"], {},
+        cli.EXIT_CONFIG, id="evolve-negative-seed"),
+])
+def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, files, code):
+    # each of these used to end in a traceback or in the wrong exit code
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(_ERROR_PREFIX[code])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pixelcgp.evolution import RunConfig
-from pixelcgp.genome import random_genome
+from pixelcgp.genome import Genome, random_genome
 from pixelcgp.persist import (FormatError, load_config, load_genome,
                               parse_config, parse_genome, save_genome,
                               serialize_config, serialize_genome)
@@ -80,17 +80,40 @@ def test_load_config(tmp_path):
     assert load_config(path).seed == 3
 
 
+def _genome_rejected_both_ways(text, match):
+    """A bad genome fails in a genome file and when built directly."""
+    with pytest.raises(FormatError, match=match):
+        parse_genome(text)
+    head, genes = text.splitlines()
+    _, n_input, n_output, C, r = head.split()
+    with pytest.raises(ValueError, match=match):
+        Genome(np.array([float(t) for t in genes.split()]),
+               int(n_input), int(n_output), int(C), float(r))
+
+
 @pytest.mark.parametrize("gene", ["1", "1.5", "-0.25", "nan", "inf"])
 def test_genome_gene_outside_unit_interval(gene):
     # a gene of 1.0 used to parse and then raise IndexError in decode
-    with pytest.raises(FormatError, match="outside \\[0, 1\\)"):
-        parse_genome(f"CGP1 1 1 1 0.0\n0.5 0.5 0.5 {gene} 0.5\n")
+    _genome_rejected_both_ways(f"CGP1 1 1 1 0.0\n0.5 0.5 0.5 {gene} 0.5\n",
+                               "outside \\[0, 1\\)")
 
 
 @pytest.mark.parametrize("r", ["1.5", "-0.1", "nan"])
 def test_genome_recurrency_outside_unit_interval(r):
-    with pytest.raises(FormatError, match="recurrency"):
-        parse_genome(f"CGP1 1 1 1 {r}\n0.5 0.5 0.5 0.5 0.5\n")
+    _genome_rejected_both_ways(f"CGP1 1 1 1 {r}\n0.5 0.5 0.5 0.5 0.5\n",
+                               "recurrency")
+
+
+@pytest.mark.parametrize("text", [
+    # C = -1 leaves one gene, so the gene count alone let it through and
+    # DOT export then failed with IndexError
+    pytest.param("CGP1 0 5 -1 0.0\n0.0\n", id="no-inputs-negative-C"),
+    pytest.param("CGP1 1 5 -1 0.0\n0.0\n", id="negative-C"),
+    pytest.param("CGP1 0 1 1 0.0\n0.5 0.5 0.5 0.5 0.5\n", id="no-inputs"),
+    pytest.param("CGP1 1 0 1 0.0\n0.5 0.5 0.5 0.5\n", id="no-outputs"),
+])
+def test_genome_shape_out_of_range(text):
+    _genome_rejected_both_ways(text, "must be at least")
 
 
 def test_genome_accepts_interval_ends():
@@ -124,6 +147,7 @@ def test_config_zero_episodes_rejected():
     "m_nodes = 1.5", "m_nodes = -0.1", "m_output = 2", "m_output = nan",
     "r = 1.01", "r = 1.5", "r = -1",
     "p_fskip = 1", "p_fskip = -0.5", "p_fskip = nan",
+    "seed = -1", "frame_cap = 0", "frame_cap = -5",
 ])
 def test_config_out_of_range_rejected(line):
     _rejected_both_ways(line)
