@@ -13,7 +13,8 @@ The wire protocol is line-framed requests with mixed text/binary replies:
 
 Requests and replies strictly alternate. Any malformed reply, short read or
 server exit raises BridgeError; a violation never degrades into a silent
-zero observation.
+zero observation. The handshake's screen is at least 1x1, and its frame at
+most MAX_FRAME_BYTES.
 
 The evolved program sees only the game's legal action subset: local output
 index i maps to the i-th entry of the handshake's action list, which indexes
@@ -22,6 +23,7 @@ the full 18-action controller table.
 
 from __future__ import annotations
 
+import contextlib
 import shlex
 import subprocess
 
@@ -38,6 +40,9 @@ ACTION_TABLE = [
 ]
 N_GLOBAL_ACTIONS = len(ACTION_TABLE)
 NOOP = 0
+# largest frame a handshake may announce (3 * width * height bytes): every
+# ACT reply reads a whole frame with one read(n), which allocates n up front
+MAX_FRAME_BYTES = 1 << 24
 
 
 class BridgeError(Exception):
@@ -58,7 +63,11 @@ class BridgeSession:
             raise BridgeError(f"cannot start emulator server: {exc}") from exc
         self.width = self.height = 0
         self.legal_actions: list[int] = []
-        self._handshake(rom)
+        try:
+            self._handshake(rom)
+        except BaseException:
+            self.close()
+            raise
 
     def _send(self, line: str) -> None:
         try:
@@ -95,6 +104,8 @@ class BridgeSession:
             raise BridgeError(f"handshake action list mismatch: {reply}")
         if any(not 0 <= a < N_GLOBAL_ACTIONS for a in actions):
             raise BridgeError(f"handshake action id out of range: {actions}")
+        if w < 1 or h < 1 or 3 * w * h > MAX_FRAME_BYTES:
+            raise BridgeError(f"handshake screen size out of range: {w}x{h}")
         self.width, self.height = w, h
         self.legal_actions = actions
 
@@ -120,6 +131,12 @@ class BridgeSession:
                 self.proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
+                self.proc.wait()
+        self.proc.stdout.close()
+        # a request the server never read is still buffered; flushing it
+        # into the closed pipe fails, and the pipe closes all the same
+        with contextlib.suppress(BrokenPipeError):
+            self.proc.stdin.close()
 
 
 class AleBridgeEnv:
@@ -139,7 +156,6 @@ class AleBridgeEnv:
         # one throwaway session to learn the action count up front
         probe = BridgeSession(server_cmd, rom, rom_dir)
         self.n_actions = len(probe.legal_actions)
-        self.screen = (probe.height, probe.width)
         probe.close()
 
     def reset(self, seed=None) -> Observation:

@@ -60,24 +60,31 @@ def _load_config(args) -> evolution.RunConfig:
 
 
 def cmd_evolve(args) -> int:
+    # out_dir is a config key, so an output file that cannot be written is
+    # a config error, before the run for log.txt and after it for the rest
     try:
         cfg = _load_config(args)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        log_fh = open(os.path.join(cfg.out_dir, "log.txt"), "w")
     except (OSError, ValueError, persist.FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    log_path = os.path.join(cfg.out_dir, "log.txt")
-    try:
-        with open(log_path, "w") as log_fh:
+    with log_fh:
+        try:
             best, state = evolution.run_evolution(
                 cfg, log_fn=lambda line: print(line, file=log_fh))
-    except Exception as exc:
-        print(f"environment error: {exc}", file=sys.stderr)
-        return EXIT_ENV
-    persist.save_genome(best, os.path.join(cfg.out_dir, "best.cgp"))
-    # evaluation seed of the recorded fitness; replay with --seed $(cat ...)
-    with open(os.path.join(cfg.out_dir, "best.seed"), "w") as fh:
-        fh.write(f"{state.elite_seed}\n")
+        except Exception as exc:
+            print(f"environment error: {exc}", file=sys.stderr)
+            return EXIT_ENV
+    try:
+        persist.save_genome(best, os.path.join(cfg.out_dir, "best.cgp"))
+        # evaluation seed of the recorded fitness; replay with
+        # --seed $(cat best.seed)
+        with open(os.path.join(cfg.out_dir, "best.seed"), "w") as fh:
+            fh.write(f"{state.elite_seed}\n")
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"best {state.elite_fitness} evals {state.evaluations_used}")
     return EXIT_OK
 
@@ -92,14 +99,10 @@ def cmd_replay(args) -> int:
         return EXIT_CONFIG
     try:
         genome = persist.load_genome(args.genome)
-    except (OSError, persist.FormatError) as exc:
+    except (OSError, ValueError, persist.FormatError) as exc:
+        # ValueError: a file that is not UTF-8 text (UnicodeDecodeError)
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
-    try:
-        env = cfg.make_env()
-    except Exception as exc:
-        print(f"environment error: {exc}", file=sys.stderr)
-        return EXIT_ENV
 
     def on_frame(i, action, reward, prog):
         print(f"frame {i} action {action} reward {reward}")
@@ -109,18 +112,18 @@ def cmd_replay(args) -> int:
                 print(f"node {n} {spec.name} {scalar_of(prog.state[n])}")
 
     try:
-        total = evolution.evaluate(genome, env, cfg.episodes, cfg.seed,
-                                   p_fskip=cfg.p_fskip,
-                                   frame_cap=cfg.frame_cap, on_frame=on_frame)
+        env = cfg.make_env()
+        try:
+            total = cfg.score(genome, env, cfg.seed, on_frame=on_frame)
+        finally:
+            if hasattr(env, "close"):
+                env.close()
     except evolution.GenomeMismatch as exc:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
     except Exception as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENV
-    finally:
-        if hasattr(env, "close"):
-            env.close()
     print(f"total {total}")
     return EXIT_OK
 
@@ -128,7 +131,7 @@ def cmd_replay(args) -> int:
 def cmd_export_dot(args) -> int:
     try:
         genome = persist.load_genome(args.genome)
-    except (OSError, persist.FormatError) as exc:
+    except (OSError, ValueError, persist.FormatError) as exc:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
     sys.stdout.write(export_dot(genome))

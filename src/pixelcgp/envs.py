@@ -33,10 +33,6 @@ class Observation:
     def planes(self) -> list[np.ndarray]:
         return [self.red, self.green, self.blue]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.red.shape
-
 
 N_INPUT_PLANES = 3
 DEFAULT_FRAME_CAP = 18000

@@ -80,6 +80,15 @@ class RunConfig:
         """The run's environment; every evaluation plays in one built here."""
         return envs.make_env(self.env, self.ale_server, self.rom_dir)
 
+    def score(self, genome: Genome, env, eval_seed: int,
+              on_frame=None) -> float:
+        """genome's fitness under this run's protocol (episodes, p_fskip,
+        frame_cap) from eval_seed. Evolution, its workers and replay all
+        score through here, so a logged fitness replays exactly."""
+        return evaluate(genome, env, self.episodes, eval_seed,
+                        p_fskip=self.p_fskip, frame_cap=self.frame_cap,
+                        on_frame=on_frame)
+
 
 @dataclass
 class LogRecord:
@@ -169,42 +178,9 @@ def _init_worker(config: RunConfig) -> None:
     _worker = (config, config.make_env())
 
 
-def _eval_task(args) -> float:
-    genome, seed = args
+def _score_in_worker(genome: Genome, seed: int) -> float:
     config, env = _worker
-    return evaluate(genome, env, config.episodes, seed,
-                    p_fskip=config.p_fskip, frame_cap=config.frame_cap)
-
-
-class _Evaluator:
-    """Evaluates offspring batches, optionally in worker processes.
-
-    The env is built once here and once in each worker process.
-    """
-
-    def __init__(self, config: RunConfig, workers: int):
-        self.config = config
-        self.env = config.make_env()
-        self.pool = (ProcessPoolExecutor(workers, initializer=_init_worker,
-                                         initargs=(config,))
-                     if workers > 1 else None)
-
-    def __call__(self, genomes: list[Genome],
-                 seeds: list[int]) -> list[float]:
-        c = self.config
-        if self.pool is None:
-            return [
-                evaluate(g, self.env, c.episodes, seed,
-                         p_fskip=c.p_fskip, frame_cap=c.frame_cap)
-                for g, seed in zip(genomes, seeds)
-            ]
-        return list(self.pool.map(_eval_task, zip(genomes, seeds)))
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
-        if hasattr(self.env, "close"):
-            self.env.close()
+    return config.score(genome, env, seed)
 
 
 def run_evolution(config: RunConfig, workers: int = 1,
@@ -212,15 +188,27 @@ def run_evolution(config: RunConfig, workers: int = 1,
     """Full 1+lambda run; returns the final elite and the run state.
 
     The genome has one input per observation plane and one output per
-    action of the config's environment.
+    action of the config's environment. The env is built once here and,
+    with workers > 1, once in each worker process.
     """
     rng = np.random.default_rng(config.seed)
-    evaluator = _Evaluator(config, workers)
+    env = config.make_env()
+    pool = None
     try:
-        first = random_genome(envs.N_INPUT_PLANES, evaluator.env.n_actions,
+        if workers > 1:
+            pool = ProcessPoolExecutor(workers, initializer=_init_worker,
+                                       initargs=(config,))
+
+        def score(genomes: list[Genome], seeds: list[int]) -> list[float]:
+            if pool is None:
+                return [config.score(g, env, seed)
+                        for g, seed in zip(genomes, seeds)]
+            return list(pool.map(_score_in_worker, genomes, seeds))
+
+        first = random_genome(envs.N_INPUT_PLANES, env.n_actions,
                               config.c, config.r, rng)
         seed = eval_seed_for(config.seed, 0, 0)
-        state = EvolutionState(first, evaluator([first], [seed])[0], seed,
+        state = EvolutionState(first, score([first], [seed])[0], seed,
                                evaluations_used=1)
         _log(state, log_fn)
         for gen in range(1, config.generations + 1):
@@ -230,7 +218,7 @@ def run_evolution(config: RunConfig, workers: int = 1,
             ]
             seeds = [eval_seed_for(config.seed, gen, i)
                      for i in range(config.lam)]
-            fits = evaluator(offspring, seeds)
+            fits = score(offspring, seeds)
             state.evaluations_used += config.lam
             best_i = max(range(config.lam), key=lambda i: (fits[i], -i))
             if fits[best_i] >= state.elite_fitness:
@@ -240,7 +228,10 @@ def run_evolution(config: RunConfig, workers: int = 1,
             _log(state, log_fn)
         return state.elite, state
     finally:
-        evaluator.close()
+        if pool is not None:
+            pool.shutdown()
+        if hasattr(env, "close"):
+            env.close()
 
 
 def _log(state: EvolutionState, log_fn) -> None:

@@ -43,7 +43,7 @@ class FunctionSpec:
     arity: int
     impl: Callable[[Value, Value, float], Value] = field(repr=False)
     needs_matrix: bool = False   # wire-through when x is scalar
-    can_nonfinite: bool = False  # result may contain NaN/inf before constraining
+    can_nonfinite: bool = False  # a matrix result may hold NaN/inf
     trace_x: bool = True
     trace_y: bool = False
 
@@ -61,10 +61,6 @@ def _as_row(v: Value) -> np.ndarray:
     if isinstance(v, np.ndarray):
         return v.reshape(-1)
     return np.array([v], dtype=np.float64)
-
-
-def _scalar_y(y: Value) -> float:
-    return scalar_of(y) if isinstance(y, np.ndarray) else float(y)
 
 
 def _bin(sf, mf):
@@ -305,7 +301,7 @@ def _split_after(x, y, p):
 def _range_in(x, y, p):
     flat = _flat(x)
     n = flat.shape[1]
-    lo = index_from_unit(_unit(_scalar_y(y)), n)
+    lo = index_from_unit(_unit(scalar_of(y)), n)
     hi = index_from_unit(_unit(p), n)
     if lo > hi:
         lo, hi = hi, lo
@@ -314,7 +310,7 @@ def _range_in(x, y, p):
 
 def _index_y(x, y, p):
     flat = x.reshape(-1)
-    return float(flat[index_from_unit(_unit(_scalar_y(y)), flat.shape[0])])
+    return float(flat[index_from_unit(_unit(scalar_of(y)), flat.shape[0])])
 
 
 def _index_p(x, y, p):
@@ -451,9 +447,9 @@ _TABLE = [
     ("ASIN", 1, _asin, {}),
     ("ATAN", 1, _atan, {}),
     # statistical
-    ("STDDEV", 1, _stddev, {"needs_matrix": True, "can_nonfinite": True}),
-    ("SKEW", 1, _skew, {"needs_matrix": True, "can_nonfinite": True}),
-    ("KURTOSIS", 1, _kurtosis, {"needs_matrix": True, "can_nonfinite": True}),
+    ("STDDEV", 1, _stddev, {"needs_matrix": True}),
+    ("SKEW", 1, _skew, {"needs_matrix": True}),
+    ("KURTOSIS", 1, _kurtosis, {"needs_matrix": True}),
     ("MEAN", 1, _mean, {"needs_matrix": True}),
     ("RANGE", 1, _range, {"needs_matrix": True}),
     ("ROUND", 1, _round, {"needs_matrix": True}),

@@ -24,11 +24,6 @@ import numpy as np
 from . import functions as fns
 from .values import Value, scalar_of
 
-__all__ = [
-    "Genome", "Program", "random_genome", "connection_index", "decode",
-    "select_action",
-]
-
 
 @dataclass(frozen=True)
 class Genome:
@@ -96,11 +91,10 @@ class Program:
     n_input: int
     nodes: list[Node]          # program nodes only, graph indices n_input..N-1
     outputs: list[int]         # node indices, one per action
-    state: list[Value] = field(default_factory=list)
+    state: list[Value] = field(init=False)
 
     def __post_init__(self):
-        if not self.state:
-            self.reset()
+        self.reset()
         # evaluation plan: (node index, spec, x index, y index, p) for each
         # active node in ascending order; inactive nodes are never run
         active = trace_active(self)

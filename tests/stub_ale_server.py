@@ -7,6 +7,9 @@ directory the client may append) is ignored.
 Modes:
   ok       4x3 screen, legal actions 0/3/4, episode ends after 3 ACTs
   err      reject the handshake
+  empty    announce a 0x0 screen
+  negative announce a -4x3 screen
+  huge     announce a 60000x60000 screen, far above the client's frame cap
   badline  reply garbage to ACT
   short    send a truncated frame and exit
 """
@@ -17,7 +20,9 @@ import sys
 def main():
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
     out = sys.stdout.buffer
-    width, height, actions = 4, 3, [0, 3, 4]
+    width, height = {"empty": (0, 0), "negative": (-4, 3),
+                     "huge": (60000, 60000)}.get(mode, (4, 3))
+    actions = [0, 3, 4]
     steps = 0
     for raw in sys.stdin.buffer:
         parts = raw.decode().split()

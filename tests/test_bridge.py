@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -42,6 +43,49 @@ def test_handshake_rejection():
         BridgeSession(_cmd("err"), "pong")
 
 
+@pytest.mark.parametrize("mode", ["empty", "negative", "huge"])
+def test_handshake_screen_size_bounded(mode):
+    # a 0x0 screen gave empty planes; a negative or huge one reached read()
+    with pytest.raises(BridgeError, match="screen size"):
+        BridgeSession(_cmd(mode), "pong")
+
+
+def _spy_on_servers(monkeypatch) -> list:
+    """Every server process a bridge starts from now on, in start order."""
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+def _released(proc) -> bool:
+    return (proc.returncode is not None and proc.stdin.closed
+            and proc.stdout.closed)
+
+
+@pytest.mark.parametrize("mode", ["err", "empty"])
+def test_failed_handshake_releases_its_server(monkeypatch, mode):
+    started = _spy_on_servers(monkeypatch)
+    with pytest.raises(BridgeError):
+        BridgeSession(_cmd(mode), "pong")
+    assert len(started) == 1 and _released(started[0])
+
+
+def test_env_releases_every_server(monkeypatch):
+    # the action-count probe and each episode's session
+    started = _spy_on_servers(monkeypatch)
+    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env.reset()
+    env.reset()
+    env.close()
+    assert len(started) == 3 and all(map(_released, started))
+
+
 def test_malformed_step_reply():
     s = BridgeSession(_cmd("badline"), "pong")
     try:
@@ -69,7 +113,6 @@ def test_env_adapter_maps_local_actions():
     env = AleBridgeEnv(_cmd("ok"), "pong")
     try:
         assert env.n_actions == 3
-        assert env.screen == (3, 4)
         obs = env.reset()
         assert obs.red.shape == (3, 4)
         # local action 1 -> global action 3

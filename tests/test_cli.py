@@ -31,12 +31,18 @@ def test_evolve_writes_outputs(tmp_path, capsys):
     assert seed >= 0
 
 
-@pytest.mark.parametrize("episodes", [1, 3])
-def test_evolve_then_replay_matches_logged_fitness(tmp_path, capsys,
-                                                   episodes):
+@pytest.mark.parametrize("protocol", [
     # replay used to play episode 0 only, whatever the episode count
+    pytest.param("episodes = 1\n", id="1"),
+    pytest.param("episodes = 3\n", id="3"),
+    # every protocol key away from its default
+    pytest.param("episodes = 2\np_fskip = 0.5\nframe_cap = 30\n",
+                 id="fskip-cap"),
+])
+def test_evolve_then_replay_matches_logged_fitness(tmp_path, capsys,
+                                                   protocol):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"c = 20\nn_eval = 18\nseed = 3\nepisodes = {episodes}\n")
+    cfg.write_text(f"c = 20\nn_eval = 18\nseed = 3\n{protocol}")
     assert cli.main(["evolve", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == cli.EXIT_OK
     logged = float(capsys.readouterr().out.split()[1])
@@ -157,6 +163,8 @@ def test_export_dot_bad_file(tmp_path, capsys):
 
 
 _SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
+_SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
+_EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
 _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
                  cli.EXIT_ENV: "environment error: ",
                  cli.EXIT_GENOME: "genome error: "}
@@ -184,11 +192,37 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
     pytest.param(
         ["evolve", "--seed", "-1", "--out", "{tmp}/run"], {},
         cli.EXIT_CONFIG, id="evolve-negative-seed"),
+    pytest.param(
+        ["replay", "{tmp}/g.cgp"], {"g.cgp": b"CGP1 3 3 0 0.1\n\xff\xfe\n"},
+        cli.EXIT_GENOME, id="replay-not-utf8"),
+    pytest.param(
+        ["export-dot", "{tmp}/g.cgp"], {"g.cgp": b"\x80CGP1\n"},
+        cli.EXIT_GENOME, id="export-dot-not-utf8"),
+    # out_dir names a file, or a path under one
+    pytest.param(
+        _EVOLVE_SMALL, {"run.cfg": _SMALL_RUN, "run": ""},
+        cli.EXIT_CONFIG, id="evolve-out-is-file"),
+    pytest.param(
+        ["evolve", "--out", "{tmp}/f/run"], {"f": ""},
+        cli.EXIT_CONFIG, id="evolve-out-under-file"),
+    # an output file of the run cannot be opened for writing
+    pytest.param(
+        _EVOLVE_SMALL, {"run.cfg": _SMALL_RUN, "run/log.txt/x": ""},
+        cli.EXIT_CONFIG, id="evolve-log-unwritable"),
+    pytest.param(
+        _EVOLVE_SMALL, {"run.cfg": _SMALL_RUN, "run/best.cgp/x": ""},
+        cli.EXIT_CONFIG, id="evolve-best-cgp-unwritable"),
+    pytest.param(
+        _EVOLVE_SMALL, {"run.cfg": _SMALL_RUN, "run/best.seed/x": ""},
+        cli.EXIT_CONFIG, id="evolve-best-seed-unwritable"),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, files, code):
     # each of these used to end in a traceback or in the wrong exit code
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(content if isinstance(content, bytes)
+                         else content.encode())
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(_ERROR_PREFIX[code])

@@ -30,7 +30,7 @@ def _greedy_episode(seed):
 def test_catch_observation_layout():
     env = Catch()
     obs = env.reset(0)
-    assert obs.shape == (12, 12)
+    assert obs.red.shape == (12, 12)
     assert float(np.sum(obs.red)) == 1.0       # one ball pixel
     assert float(np.sum(obs.green)) == 3.0     # three paddle pixels
     assert float(np.sum(obs.blue)) == 0.0
