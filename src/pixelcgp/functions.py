@@ -15,6 +15,11 @@ apply() never raises. apply() never mutates its operands either: it writes
 only into arrays it allocated itself, so a node's output can be another
 node's operand without a defensive copy.
 
+The clamp runs only where it can change a bit. Operands and p lie in
+[-1, 1], and on such operands a closed function (FunctionSpec.closed) keeps
+every matrix result finite and in [-1, 1], so apply only scales its matrix
+results by p. Every output stays bit-equal to constrain(p * f(x, y, p)).
+
 Scalar formulas use math.*; matrix formulas use the corresponding numpy
 ufuncs and plain np.sum reductions. Both choices are deterministic, so any
 reimplementation using the same primitives reproduces results bit-exactly.
@@ -43,7 +48,9 @@ class FunctionSpec:
     arity: int
     impl: Callable[[Value, Value, float], Value] = field(repr=False)
     needs_matrix: bool = False   # wire-through when x is scalar
-    can_nonfinite: bool = False  # a matrix result may hold NaN/inf
+    # on operands and p that are finite and in [-1, 1], every matrix result
+    # is finite and in [-1, 1], so apply only scales it by p (see _CLOSED)
+    closed: bool = False
     trace_x: bool = True
     trace_y: bool = False
 
@@ -418,14 +425,60 @@ def _ones(x, y, p):
     return np.ones(x.shape, dtype=np.float64)
 
 
+# --- closure ----------------------------------------------------------------
+
+# Each closed function's bound, for operands x, y and p that are finite and
+# in [-1, 1]. Rounding is monotone and +-1.0 is a double, so an exact value
+# within [-1, 1] rounds (correctly or faithfully) into [-1, 1].
+_CLOSED = {
+    # by construction: operand elements, order statistics, 0/1 flags, the
+    # integers -1, 0 and 1, fills with p, 0 or 1, and (a + b) / 2,
+    # |a - b| / 2, a * b, x * p and |x|, whose exact values lie in [-1, 1]
+    "NOP", "YWIRE", "VECFROMDOUBLE", "TRANSPOSE", "VECTORIZE", "SPLIT_BEFORE",
+    "SPLIT_AFTER", "RANGE_IN", "ROTATE", "REVERSE", "PUSH_BACK", "PUSH_FRONT",
+    "SET", "MAX2", "MIN2", "LT", "GT", "ROUND", "CEIL", "FLOOR",
+    "CONSTVECTORD", "ZEROS", "ONES", "ADD", "AMINUS", "MULT", "CMULT", "ABS",
+    # IEEE rules: sqrt is correctly rounded, so sqrt(|x|) <= 1, and
+    # sqrt(a * a + b * b) <= sqrt(2.0), the very double _SQRT2 divides by
+    "SQRT", "SQRTXY",
+    # faithful rounding: exact |x| ** (p + 1) and |a| ** |b| are <= 1, and
+    # pow(1, e) == 1; |sin x| <= sin 1 < 0.85
+    "CPOW", "YPOW", "SINX",
+}
+
+# Endpoint functions. Only the endpoint operands reach the constants e, pi,
+# pi / 2 and pi / 4 exactly; their doubles lie below them, so a faithful
+# kernel may round up there. From the next operand inwards, 1 - 2**-53, the
+# exact value lies below the double it is divided by. So each is closed on a
+# platform whose kernel keeps both operands within [-1, 1], which is checked
+# once, here, in a 1x1 matrix and in SIMD body, tail and strided positions.
+_ENDPOINTS = {"EXPX": (_expx_m, (1.0,)), "ACOS": (_acos_m, (-1.0,)),
+              "ASIN": (_asin_m, (1.0, -1.0)), "ATAN": (_atan_m, (1.0, -1.0))}
+
+
+def _kernel_stays_closed(kernel, endpoints) -> bool:
+    column = np.array([[v] for e in endpoints
+                       for v in (e, e * (1.0 - 2.0 ** -53))])
+    # one row per operand: contiguous, every operand sits in the SIMD body;
+    # strided, each row is a loop of its own, with a body and a tail
+    wide = column * np.ones(67)
+    cases = [column[i : i + 1] for i in range(len(column))]  # 1x1 each
+    cases += [wide, wide[:, ::2]]
+    return all((np.abs(kernel(m)) <= 1.0).all() for m in cases)  # NaN fails
+
+
+_CLOSED |= {name for name, (kernel, endpoints) in _ENDPOINTS.items()
+            if _kernel_stays_closed(kernel, endpoints)}
+
+
 def _spec(fid, name, arity, impl, *, needs_matrix=False,
-          can_nonfinite=False, trace_x=None, trace_y=None) -> FunctionSpec:
+          trace_x=None, trace_y=None) -> FunctionSpec:
     if trace_x is None:
         trace_x = arity >= 1
     if trace_y is None:
         trace_y = arity >= 2
-    return FunctionSpec(fid, name, arity, impl,
-                        needs_matrix=needs_matrix, can_nonfinite=can_nonfinite,
+    return FunctionSpec(fid, name, arity, impl, needs_matrix=needs_matrix,
+                        closed=name in _CLOSED,
                         trace_x=trace_x, trace_y=trace_y)
 
 
@@ -435,7 +488,7 @@ _TABLE = [
     ("AMINUS", 2, _aminus, {}),
     ("MULT", 2, _mult, {}),
     ("CMULT", 1, _cmult, {}),
-    ("INV", 1, _inv, {"can_nonfinite": True}),
+    ("INV", 1, _inv, {}),
     ("ABS", 1, _abs, {}),
     ("SQRT", 1, _sqrt, {}),
     ("CPOW", 1, _cpow, {}),
@@ -510,11 +563,12 @@ def apply(spec: FunctionSpec, x: Value, y: Value, p: float) -> Value:
     """Evaluate a node function: constrain(p * f(x, y, p)), never raising.
 
     x and y are never mutated. A matrix result is an array apply allocated
-    itself: the kernel's fresh output, scaled and clamped in place, or one
-    new array when the kernel returned a view of an operand.
+    itself: the kernel's fresh output, scaled (and, unless spec.closed,
+    clamped) in place, or one new array when the kernel returned a view of
+    an operand.
     """
     if spec.needs_matrix and not isinstance(x, np.ndarray):
         raw = x  # wire: scalar passes through (the p weight still applies)
     else:
         raw = spec.impl(x, y, p)
-    return constrain_product(p, raw, x, y, spec.can_nonfinite)
+    return constrain_product(p, raw, x, y, spec.closed)

@@ -25,6 +25,12 @@ from . import functions as fns
 from .values import Value, scalar_of
 
 
+# The header's n_input is the one size no gene count bounds: without this
+# cap, a 26-byte genome file could make Program.reset allocate millions of
+# node states (cf. bridge.MAX_FRAME_BYTES).
+MAX_N_INPUT = 1 << 16
+
+
 @dataclass(frozen=True)
 class Genome:
     """Validated on construction: a shape or gene decode cannot use raises
@@ -42,6 +48,9 @@ class Genome:
                                   ("C", self.C, 0)):
             if value < least:
                 raise ValueError(f"{key} = {value} must be at least {least}")
+        if self.n_input > MAX_N_INPUT:
+            raise ValueError(
+                f"n_input = {self.n_input} exceeds the limit {MAX_N_INPUT}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"recurrency r = {self.r!r} outside [0, 1]")
         expected = self.n_output + 4 * self.C

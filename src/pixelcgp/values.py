@@ -32,12 +32,12 @@ def constrain(v: Value) -> Value:
 
 
 def constrain_product(p: float, raw: Value, x: Value, y: Value,
-                      nonfinite: bool = True) -> Value:
+                      closed: bool = False) -> Value:
     """constrain(p * raw) without mutating the operands x and y.
 
     x and y are the values raw was computed from (None stands for no
     operand). A matrix raw that shares no memory with either is a temporary
-    handed over by the caller: it is scaled and clamped in place and
+    handed over by the caller: it is scaled (and clamped) in place and
     returned. Otherwise the product goes into one fresh array.
 
     An array that owns its memory and is neither x nor y was not taken from
@@ -45,10 +45,11 @@ def constrain_product(p: float, raw: Value, x: Value, y: Value,
     views are checked with np.may_share_memory, a call that costs about as
     much as a 12x12 ufunc.
 
-    Only when nonfinite is true are NaN and inf elements of the product
-    zeroed, before the clamp would turn inf finite; otherwise they pass the
-    clamp as minimum(1, maximum(-1, v)) would pass them. clip is bitwise
-    equal to that pair, signed zeros and NaN included.
+    closed says that a matrix raw is already finite and in [-1, 1]. Then so
+    is p * raw, as |p| <= 1 and rounding is monotone, and the clamp would
+    change no bit (clip is the identity there, -0.0 included), so it is
+    skipped. Otherwise NaN and inf elements of the product are zeroed before
+    the clamp would turn inf finite. A scalar raw is clamped either way.
     """
     if isinstance(raw, np.ndarray):
         if raw.base is None:
@@ -61,8 +62,9 @@ def constrain_product(p: float, raw: Value, x: Value, y: Value,
             out = p * raw
         else:
             out = np.multiply(p, raw, out=raw)
-        if nonfinite:
-            out[~np.isfinite(out)] = 0.0
+        if closed:
+            return out
+        out[~np.isfinite(out)] = 0.0
         # the method form: np.clip adds microseconds of Python dispatch,
         # which small (12x12) matrices notice
         return out.clip(-1.0, 1.0, out=out)

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from pixelcgp.genome import random_genome
+from pixelcgp.genome import decode, random_genome
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -49,3 +49,22 @@ def test_genome_filter_runs(tracing):
                            **workloads.GENOME_SHAPE)
     active, matrix = workloads.active_shape(genome, workloads.first_frame())
     assert 0 <= matrix <= active <= genome.C
+
+
+def test_step_calls_apply_once_per_plan_entry(tracing, monkeypatch):
+    # the tracer's functions.apply layer sees node evaluation only while
+    # Program.step calls apply through the module attribute, once per
+    # active node; an interpreter that inlined dispatch would blind it
+    functions, workloads = tracing.functions, tracing.workloads
+    original, calls = functions.apply, []
+
+    def counted(spec, x, y, p):
+        calls.append(spec.name)
+        return original(spec, x, y, p)
+
+    monkeypatch.setattr(functions, "apply", counted)
+    program = decode(random_genome(rng=np.random.default_rng(1),
+                                   **workloads.GENOME_SHAPE))
+    assert len(program.plan) >= 5
+    program.step(workloads.first_frame())
+    assert calls == [spec.name for _, spec, *_ in program.plan]

@@ -164,6 +164,7 @@ def test_export_dot_bad_file(tmp_path, capsys):
 
 _SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
 _SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
+_HUGE_N_INPUT = "CGP1 10000000 1 0 0.5\n0.5\n"
 _EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
 _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
                  cli.EXIT_ENV: "environment error: ",
@@ -192,6 +193,13 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
     pytest.param(
         ["evolve", "--seed", "-1", "--out", "{tmp}/run"], {},
         cli.EXIT_CONFIG, id="evolve-negative-seed"),
+    # a 26-byte file whose header asks for ten million input nodes
+    pytest.param(
+        ["export-dot", "{tmp}/g.cgp"], {"g.cgp": _HUGE_N_INPUT},
+        cli.EXIT_GENOME, id="export-dot-huge-n-input"),
+    pytest.param(
+        ["replay", "{tmp}/g.cgp"], {"g.cgp": _HUGE_N_INPUT},
+        cli.EXIT_GENOME, id="replay-huge-n-input"),
     pytest.param(
         ["replay", "{tmp}/g.cgp"], {"g.cgp": b"CGP1 3 3 0 0.1\n\xff\xfe\n"},
         cli.EXIT_GENOME, id="replay-not-utf8"),

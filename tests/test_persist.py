@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pixelcgp.evolution import RunConfig
-from pixelcgp.genome import Genome, random_genome
+from pixelcgp.genome import MAX_N_INPUT, Genome, random_genome
 from pixelcgp.persist import (FormatError, load_config, load_genome,
                               parse_config, parse_genome, save_genome,
                               serialize_config, serialize_genome)
@@ -34,6 +34,16 @@ def test_genome_format_errors():
         parse_genome("CGP2 1 1 0 0\n\n")               # bad magic
     with pytest.raises(FormatError):
         parse_genome("CGP1 1 1 1 0.0\n0.1 0.2 0.3 0.x 0.5\n")
+
+
+def test_genome_n_input_bounded():
+    genes = " ".join(["0.5"] * 5)
+    at_limit = f"CGP1 {MAX_N_INPUT} 1 1 0.0\n{genes}\n"
+    assert parse_genome(at_limit).n_input == MAX_N_INPUT
+    with pytest.raises(FormatError, match="n_input"):
+        parse_genome(f"CGP1 {MAX_N_INPUT + 1} 1 1 0.0\n{genes}\n")
+    with pytest.raises(FormatError, match="n_input"):
+        parse_genome("CGP1 10000000 1 0 0.5\n0.5\n")
 
 
 def test_config_round_trip():

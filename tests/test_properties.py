@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from pixelcgp import functions
 from pixelcgp.functions import FUNCTIONS, apply
 from pixelcgp.genome import connection_index, decode, random_genome
 from pixelcgp.persist import parse_genome, serialize_genome
@@ -92,3 +94,76 @@ def test_genome_serialization_round_trip(seed):
     genome = random_genome(3, 3, 15, 0.1, np.random.default_rng(seed))
     back = parse_genome(serialize_genome(genome))
     assert np.array_equal(genome.genes, back.genes)
+
+
+# --- closure: FunctionSpec.closed lets apply skip the clamp -----------------
+
+# the operands where a bound is tightest: +-1, signed zeros, the smallest
+# subnormals and the doubles next to +-1
+_EDGES = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324,
+          1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53)]
+_CLOSED_SPECS = [spec for spec in FUNCTIONS if spec.closed]
+edge_scalar = st.one_of(st.sampled_from(_EDGES), operand_scalar)
+edge_matrix = arrays(np.float64,
+                     array_shapes(min_dims=2, max_dims=2, max_side=12),
+                     elements=edge_scalar)
+
+
+def _raw(spec, x, y, p):
+    """The kernel result apply scales by p (a matrix wire passes x)."""
+    if spec.needs_matrix and not isinstance(x, np.ndarray):
+        return x
+    return spec.impl(x, y, p)
+
+
+def _assert_closed(spec, raw, where):
+    if isinstance(raw, np.ndarray):
+        assert np.all(np.isfinite(raw)), f"{spec.name} non-finite {where}"
+        assert np.all(np.abs(raw) <= 1.0), f"{spec.name} out of range {where}"
+
+
+@settings(deadline=None, max_examples=60)
+@given(x=st.one_of(edge_scalar, edge_matrix),
+       y=st.one_of(edge_scalar, edge_matrix), p=edge_scalar)
+@pytest.mark.parametrize("spec", _CLOSED_SPECS, ids=lambda s: s.name)
+def test_closed_kernels_stay_in_range(spec, x, y, p):
+    _assert_closed(spec, _raw(spec, x, y, p), f"x={x!r} y={y!r} p={p!r}")
+
+
+def _planted_planes(rng):
+    """210x160 planes whose first and last 64 elements pair every edge value
+    of x with every edge value of y, in SIMD body and tail positions."""
+    x, y = rng.uniform(-1.0, 1.0, (2, 210, 160))
+    edges = np.array(_EDGES)
+    i = np.arange(64)
+    for plane, pattern in ((x, edges[i % 8]), (y, edges[i // 8])):
+        flat = plane.reshape(-1)
+        flat[:64] = flat[-64:] = pattern
+    return x, y
+
+
+@pytest.mark.parametrize("spec", _CLOSED_SPECS, ids=lambda s: s.name)
+def test_closed_kernels_stay_in_range_at_atari_size(spec):
+    x, y = _planted_planes(np.random.default_rng(spec.id))
+    pairs = [(x, y), (y, x), (x, y.T), (x.T, y)]
+    pairs += [(x, e) for e in _EDGES] + [(e, y) for e in _EDGES]
+    for a, b in pairs:
+        for p in _EDGES + [0.37]:
+            where = (f"{getattr(a, 'shape', a)}, {getattr(b, 'shape', b)}, "
+                     f"p={p!r}")
+            _assert_closed(spec, _raw(spec, a, b, p), where)
+
+
+def test_endpoint_check_refuses_a_kernel_that_rounds_up():
+    def up(where):
+        def kernel(m):
+            out = np.arctan(m) * (4.0 / math.pi)
+            out[where(m)] = np.nextafter(1.0, 2.0)
+            return out
+        return kernel
+    check = functions._kernel_stays_closed
+    assert check(lambda m: np.clip(m, -1.0, 1.0), (1.0, -1.0))
+    assert not check(up(lambda m: m == 1.0), (1.0, -1.0))
+    assert not check(up(lambda m: (m == -1.0) & (m.size == 1)), (1.0, -1.0))
+    assert not check(up(lambda m: (m > 0.5) & (m.size > 1)), (1.0, -1.0))
+    assert not check(lambda m: np.full(m.shape, np.nan), (1.0,))
