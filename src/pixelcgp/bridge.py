@@ -52,17 +52,13 @@ class BridgeError(Exception):
 class BridgeSession:
     """One emulator process speaking the framed protocol for one episode."""
 
-    def __init__(self, server_cmd: str, rom: str, rom_dir: str | None = None):
-        cmd = shlex.split(server_cmd)
-        if rom_dir:
-            cmd.append(rom_dir)
+    def __init__(self, server_cmd: str, rom: str):
         try:
-            self.proc = subprocess.Popen(
-                cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self.proc = subprocess.Popen(shlex.split(server_cmd),
+                                         stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE)
         except OSError as exc:
             raise BridgeError(f"cannot start emulator server: {exc}") from exc
-        self.width = self.height = 0
-        self.legal_actions: list[int] = []
         try:
             self._handshake(rom)
         except BaseException:
@@ -147,22 +143,20 @@ class AleBridgeEnv:
     before its first decision.
     """
 
-    def __init__(self, server_cmd: str, rom: str, rom_dir: str | None = None):
+    def __init__(self, server_cmd: str, rom: str):
         self.server_cmd = server_cmd
         self.rom = rom
-        self.rom_dir = rom_dir
         self.session: BridgeSession | None = None
         self.done = True
         # one throwaway session to learn the action count up front
-        probe = BridgeSession(server_cmd, rom, rom_dir)
+        probe = BridgeSession(server_cmd, rom)
         self.n_actions = len(probe.legal_actions)
         probe.close()
 
     def reset(self, seed=None) -> Observation:
         # seed accepted for contract compatibility; the emulator owns its RNG
-        if self.session is not None:
-            self.session.close()
-        self.session = BridgeSession(self.server_cmd, self.rom, self.rom_dir)
+        self.close()
+        self.session = BridgeSession(self.server_cmd, self.rom)
         if len(self.session.legal_actions) != self.n_actions:
             raise BridgeError("legal action list changed between sessions")
         obs, _, self.done = self.session.act(NOOP)

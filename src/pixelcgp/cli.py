@@ -12,6 +12,7 @@ from .dot import export_dot
 from .values import scalar_of
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_ENV = 3
 EXIT_GENOME = 4
@@ -121,6 +122,8 @@ def cmd_replay(args) -> int:
     except evolution.GenomeMismatch as exc:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
+    except BrokenPipeError:
+        raise   # stdout's: the bridge reports its own pipes as BridgeError
     except Exception as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENV
@@ -145,7 +148,15 @@ def main(argv=None) -> int:
         "replay": cmd_replay,
         "export-dot": cmd_export_dot,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()   # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # stdout was closed early (`| head`); devnull takes what is still
+        # buffered, so the flush at exit cannot fail (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

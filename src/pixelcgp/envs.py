@@ -36,7 +36,6 @@ class Observation:
 
 N_INPUT_PLANES = 3
 DEFAULT_FRAME_CAP = 18000
-DEFAULT_P_FSKIP = 0.25
 
 
 class Catch:
@@ -144,8 +143,8 @@ def episode_seeds(eval_seed: int, episode: int) -> tuple:
     return tuple(ss.spawn(2))
 
 
-def run_episode(program: Program, env, eval_seed: int, episode: int = 0,
-                p_fskip: float = 0.0, frame_cap: int = DEFAULT_FRAME_CAP,
+def run_episode(program: Program, env, eval_seed: int, episode: int = 0, *,
+                p_fskip: float, frame_cap: int = DEFAULT_FRAME_CAP,
                 on_frame=None) -> float:
     """Play one episode and return its total reward.
 
@@ -172,22 +171,16 @@ def run_episode(program: Program, env, eval_seed: int, episode: int = 0,
     return total
 
 
-# Environment construction by name ("catch", "ale:<rom>").
+# In-process environments by name (RunConfig.make_env builds ale:* ones).
 
-def make_env(name: str, ale_server: str | None = None,
-             rom_dir: str | None = None):
-    if name in _REGISTRY:
-        return _REGISTRY[name]()
-    if name.startswith("ale:"):
-        from .bridge import AleBridgeEnv
-        if not ale_server:
-            raise ValueError("ale:* environments need the ale_server config key")
-        return AleBridgeEnv(ale_server, name[4:], rom_dir=rom_dir)
+def make_env(name: str):
+    if name in REGISTRY:
+        return REGISTRY[name]()
     raise ValueError(f"unknown environment {name!r}")
 
 
 def register_env(name: str, factory) -> None:
-    _REGISTRY[name] = factory
+    REGISTRY[name] = factory
 
 
-_REGISTRY = {"catch": Catch}
+REGISTRY = {"catch": Catch}

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import envs
+from . import bridge, envs
 from .genome import Genome, decode, random_genome
 
 LOG_LINE = "generation {g} evals {e} best {f}"
@@ -46,12 +46,11 @@ class RunConfig:
     m_output: float = 0.6
     n_eval: int = 10000
     episodes: int = 1
-    p_fskip: float = envs.DEFAULT_P_FSKIP
+    p_fskip: float = 0.25
     frame_cap: int = envs.DEFAULT_FRAME_CAP
     seed: int = 0
     out_dir: str = "."
     ale_server: str = ""
-    rom_dir: str = ""
 
     def __post_init__(self):
         # each would fail later with a traceback (a zero lambda or episode
@@ -71,6 +70,11 @@ class RunConfig:
         # at p_fskip = 1 every frame is skipped, so the frame cap is never met
         if not 0.0 <= self.p_fskip < 1.0:
             raise ValueError(f"p_fskip = {self.p_fskip!r} outside [0, 1)")
+        # a bad env would otherwise fail only after evolve opened log.txt
+        if self.env.startswith("ale:") and not self.ale_server:
+            raise ValueError(f"env = {self.env} needs the ale_server key")
+        if not self.env.startswith("ale:") and self.env not in envs.REGISTRY:
+            raise ValueError(f"unknown environment {self.env!r}")
 
     @property
     def generations(self) -> int:
@@ -78,7 +82,9 @@ class RunConfig:
 
     def make_env(self):
         """The run's environment; every evaluation plays in one built here."""
-        return envs.make_env(self.env, self.ale_server, self.rom_dir)
+        if self.env.startswith("ale:"):
+            return bridge.AleBridgeEnv(self.ale_server, self.env[4:])
+        return envs.make_env(self.env)
 
     def score(self, genome: Genome, env, eval_seed: int,
               on_frame=None) -> float:
@@ -146,7 +152,7 @@ class GenomeMismatch(ValueError):
 
 
 def evaluate(genome: Genome, environment, episodes_per_eval: int,
-             eval_seed: int, p_fskip: float = 0.0,
+             eval_seed: int, *, p_fskip: float,
              frame_cap: int = envs.DEFAULT_FRAME_CAP, on_frame=None) -> float:
     """Mean total episode reward; deterministic given (genome, eval_seed).
 

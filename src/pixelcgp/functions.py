@@ -45,7 +45,6 @@ _EXP_DEN = math.e - 1.0
 class FunctionSpec:
     id: int
     name: str
-    arity: int
     impl: Callable[[Value, Value, float], Value] = field(repr=False)
     needs_matrix: bool = False   # wire-through when x is scalar
     # on operands and p that are finite and in [-1, 1], every matrix result
@@ -477,7 +476,7 @@ def _spec(fid, name, arity, impl, *, needs_matrix=False,
         trace_x = arity >= 1
     if trace_y is None:
         trace_y = arity >= 2
-    return FunctionSpec(fid, name, arity, impl, needs_matrix=needs_matrix,
+    return FunctionSpec(fid, name, impl, needs_matrix=needs_matrix,
                         closed=name in _CLOSED,
                         trace_x=trace_x, trace_y=trace_y)
 

@@ -111,13 +111,9 @@ class Program:
                      for n, nd in enumerate(self.nodes, self.n_input)
                      if n in active]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_input + len(self.nodes)
-
     def reset(self) -> None:
         """Zero every node state (fresh-episode condition)."""
-        self.state = [0.0] * self.n_nodes
+        self.state = [0.0] * (self.n_input + len(self.nodes))
 
     def step(self, inputs: list[Value]) -> list[Value]:
         """One synchronous pass: load inputs, update active nodes in order."""

@@ -1,8 +1,8 @@
 """Minimal emulator-protocol stub used by the bridge tests.
 
 Speaks the line-framed INIT/ACT protocol on stdin/stdout. The first
-argument selects a behavior; an optional trailing argument (the rom
-directory the client may append) is ignored.
+argument selects a behavior; later arguments, such as the ROM directory a
+real server's command would end with, are ignored.
 
 Modes:
   ok       4x3 screen, legal actions 0/3/4, episode ends after 3 ACTs

@@ -7,7 +7,7 @@ import pytest
 
 from pixelcgp.bridge import (ACTION_TABLE, AleBridgeEnv, BridgeError,
                              BridgeSession, NOOP)
-from pixelcgp.envs import make_env
+from pixelcgp.evolution import RunConfig
 
 STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
 
@@ -140,17 +140,9 @@ def test_env_adapter_fresh_session_per_reset():
 
 
 def test_make_env_ale_route():
-    env = make_env("ale:pong", ale_server=_cmd("ok"))
+    env = RunConfig(env="ale:pong", ale_server=_cmd("ok")).make_env()
     try:
         assert env.n_actions == 3
-    finally:
-        env.close()
-
-
-def test_rom_dir_is_passed_through():
-    env = AleBridgeEnv(_cmd("ok"), "pong", rom_dir="/tmp")
-    try:
-        assert env.reset().red.shape == (3, 4)
     finally:
         env.close()
 

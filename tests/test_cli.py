@@ -1,10 +1,12 @@
 import os
 import shlex
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pixelcgp
 from pixelcgp import cli, persist
 from pixelcgp.envs import Catch, register_env
 from pixelcgp.genome import random_genome
@@ -12,6 +14,7 @@ from pixelcgp.genome import random_genome
 from catch_tracker import build_tracker
 
 STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
+_SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
 
 
 def test_evolve_writes_outputs(tmp_path, capsys):
@@ -84,8 +87,61 @@ def test_evolve_zero_lambda_is_config_error(tmp_path, capsys):
 
 def test_evolve_bad_env(tmp_path, capsys):
     assert cli.main(["evolve", "--env", "nosuch",
-                     "--out", str(tmp_path)]) == cli.EXIT_ENV
-    assert "environment error" in capsys.readouterr().err
+                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bad_env_leaves_existing_run_alone(tmp_path, capsys):
+    # an env typo used to truncate the previous run's log.txt
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN)
+    run = tmp_path / "run"
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_OK
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert before["log.txt"]
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(run),
+                     "--env", "ctach"]) == cli.EXIT_CONFIG
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def _replay_cmd(tmp_path, *flags):
+    """A replay subprocess command, and an environment in which its stdout
+    is block-buffered, as it is for users."""
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pixelcgp.__file__))
+    return [sys.executable, "-m", "pixelcgp.cli", "replay", str(path),
+            *flags], env
+
+
+def test_replay_into_closed_pipe_is_quiet(tmp_path):
+    # `replay ... | head -1` used to report an environment error, exit 3
+    cmd, env = _replay_cmd(tmp_path, "--trace")
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        try:
+            # the trace outgrows the pipe buffer, so replay is still writing
+            assert proc.stdout.readline().startswith(b"frame 0 ")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.EXIT_PIPE
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+
+
+def test_replay_into_pipe_closed_before_start(tmp_path):
+    # the buffered output left behind must not fail again at exit
+    cmd, env = _replay_cmd(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(cmd, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, b"")
 
 
 def test_replay_tracker(tmp_path, capsys):
@@ -163,7 +219,6 @@ def test_export_dot_bad_file(tmp_path, capsys):
 
 
 _SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
-_SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
 _HUGE_N_INPUT = "CGP1 10000000 1 0 0.5\n0.5\n"
 _EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
 _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
@@ -193,6 +248,12 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
     pytest.param(
         ["evolve", "--seed", "-1", "--out", "{tmp}/run"], {},
         cli.EXIT_CONFIG, id="evolve-negative-seed"),
+    pytest.param(
+        ["evolve", "--env", "ctach", "--out", "{tmp}/run"], {},
+        cli.EXIT_CONFIG, id="evolve-unknown-env"),
+    pytest.param(
+        ["evolve", "--env", "ale:pong", "--out", "{tmp}/run"], {},
+        cli.EXIT_CONFIG, id="evolve-ale-without-server"),
     # a 26-byte file whose header asks for ten million input nodes
     pytest.param(
         ["export-dot", "{tmp}/g.cgp"], {"g.cgp": _HUGE_N_INPUT},

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pixelcgp
 from pixelcgp.envs import (Catch, EnvironmentError_, FrameSkip, episode_seeds,
                            make_env, run_episode)
 from pixelcgp.genome import decode
@@ -156,4 +161,16 @@ def test_make_env():
     with pytest.raises(ValueError):
         make_env("nosuch")
     with pytest.raises(ValueError):
-        make_env("ale:pong")  # needs an emulator server command
+        make_env("ale:pong")  # only RunConfig.make_env builds ale:* games
+
+
+def test_envs_does_not_load_the_bridge():
+    # envs is the in-process half; the emulator client stays unloaded
+    # until something builds an ale:* game
+    src = os.path.dirname(os.path.dirname(pixelcgp.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pixelcgp.envs; print('pixelcgp.bridge' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert out == "False\n"

@@ -69,6 +69,9 @@ def test_config_unknown_key():
         parse_config("mystery = 1\n")
     with pytest.raises(FormatError, match="unknown key"):
         parse_config("__class__ = 1\n")
+    # a ROM directory goes at the end of the ale_server command
+    with pytest.raises(FormatError, match="unknown key"):
+        parse_config("rom_dir = /roms\n")
 
 
 def test_config_bad_values():
@@ -158,6 +161,8 @@ def test_config_zero_episodes_rejected():
     "r = 1.01", "r = 1.5", "r = -1",
     "p_fskip = 1", "p_fskip = -0.5", "p_fskip = nan",
     "seed = -1", "frame_cap = 0", "frame_cap = -5",
+    # an unknown env name, and an ale:* env without ale_server
+    "env = ctach", "env = ale:pong",
 ])
 def test_config_out_of_range_rejected(line):
     _rejected_both_ways(line)
