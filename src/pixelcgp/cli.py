@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -24,17 +23,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evolve and inspect pixel-input CGP controllers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("evolve", help="run a 1+lambda evolution")
-    ev.add_argument("--config", help="run configuration file")
-    ev.add_argument("--seed", type=int, help="override the config seed")
-    ev.add_argument("--env", help="override the config environment")
-    ev.add_argument("--out", help="override the output directory")
+    # the run settings evolve and replay share: a config file and the
+    # overrides that replace its values
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="run configuration file")
+    run.add_argument("--seed", type=int, help="override the config seed")
+    run.add_argument("--env", help="override the config environment")
 
-    rp = sub.add_parser("replay", help="replay a genome's evaluation")
+    ev = sub.add_parser("evolve", parents=[run],
+                        help="run a 1+lambda evolution")
+    ev.add_argument("--out", dest="out_dir",
+                    help="override the output directory")
+
+    rp = sub.add_parser("replay", parents=[run],
+                        help="replay a genome's evaluation")
     rp.add_argument("genome", help="genome file to replay")
-    rp.add_argument("--config", help="run configuration file")
-    rp.add_argument("--seed", type=int, default=None)
-    rp.add_argument("--env", default=None)
     rp.add_argument("--trace", action="store_true",
                     help="print active node outputs every frame")
 
@@ -44,20 +47,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> evolution.RunConfig:
-    """The config file's settings with the command line's overrides; the
-    overrides pass RunConfig's checks too (ValueError)."""
-    if getattr(args, "config", None):
-        cfg = persist.load_config(args.config)
-    else:
-        cfg = evolution.RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "env", None):
-        overrides["env"] = args.env
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    return dataclasses.replace(cfg, **overrides)
+    """The config file's values, replaced by the command line's overrides,
+    checked once (ValueError)."""
+    # replay has no --out
+    overrides = {key: value for key in ("seed", "env", "out_dir")
+                 if (value := getattr(args, key, None)) is not None}
+    if args.config:
+        return persist.load_config(args.config, overrides)
+    return evolution.RunConfig(**overrides)
 
 
 def cmd_evolve(args) -> int:
@@ -67,7 +64,7 @@ def cmd_evolve(args) -> int:
         cfg = _load_config(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
         log_fh = open(os.path.join(cfg.out_dir, "log.txt"), "w")
-    except (OSError, ValueError, persist.FormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     with log_fh:
@@ -95,13 +92,13 @@ def cmd_replay(args) -> int:
     seed cfg.seed, printing each counted frame and then their mean."""
     try:
         cfg = _load_config(args)
-    except (OSError, ValueError, persist.FormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         genome = persist.load_genome(args.genome)
-    except (OSError, ValueError, persist.FormatError) as exc:
-        # ValueError: a file that is not UTF-8 text (UnicodeDecodeError)
+    except (OSError, ValueError) as exc:
+        # ValueError: a FormatError, or a file that is not UTF-8 text
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
 
@@ -134,7 +131,7 @@ def cmd_replay(args) -> int:
 def cmd_export_dot(args) -> int:
     try:
         genome = persist.load_genome(args.genome)
-    except (OSError, ValueError, persist.FormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
     sys.stdout.write(export_dot(genome))

@@ -21,6 +21,7 @@ order, so serial and parallel runs log identically.
 from __future__ import annotations
 
 import math
+import shlex
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,9 +72,15 @@ class RunConfig:
         if not 0.0 <= self.p_fskip < 1.0:
             raise ValueError(f"p_fskip = {self.p_fskip!r} outside [0, 1)")
         # a bad env would otherwise fail only after evolve opened log.txt
-        if self.env.startswith("ale:") and not self.ale_server:
-            raise ValueError(f"env = {self.env} needs the ale_server key")
-        if not self.env.startswith("ale:") and self.env not in envs.REGISTRY:
+        if self.env.startswith("ale:"):
+            if not self.ale_server:
+                raise ValueError(f"env = {self.env} needs the ale_server key")
+            try:   # the command line the bridge will run
+                shlex.split(self.ale_server)
+            except ValueError as exc:
+                raise ValueError(
+                    f"ale_server = {self.ale_server}: {exc}") from exc
+        elif self.env not in envs.REGISTRY:
             raise ValueError(f"unknown environment {self.env!r}")
 
     @property

@@ -22,7 +22,7 @@ from .genome import Genome
 GENOME_MAGIC = "CGP1"
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     """Malformed genome or config file."""
 
 
@@ -62,15 +62,16 @@ def load_genome(path) -> Genome:
         return parse_genome(fh.read())
 
 
-# config files spell the offspring count "lambda"; the dataclass field
-# avoids the Python keyword
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {"lam": "lambda"}
+# config file key -> RunConfig field; the file spells lam "lambda", as
+# the dataclass field avoids the Python keyword
+_FIELDS = {("lambda" if f.name == "lam" else f.name): f
+           for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def parse_config(text: str) -> RunConfig:
-    types = {f.name: f.type for f in fields(RunConfig)}
+def parse_config(text: str, overrides=None) -> RunConfig:
+    """The config in text, with overrides (field name -> value) replacing
+    the file's values before the one RunConfig check."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -79,13 +80,14 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise FormatError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        attr = _KEY_TO_FIELD.get(key, key)
-        if attr not in types or (attr in _FIELD_TO_KEY and key != "lambda"):
+        if key not in _FIELDS:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
+        f = _FIELDS[key]
         try:
-            values[attr] = _PARSERS[types[attr]](value)
+            values[f.name] = _PARSERS[f.type](value)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
+    values.update(overrides or {})
     try:
         return RunConfig(**values)
     except ValueError as exc:
@@ -94,8 +96,7 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for f in fields(RunConfig):
-        key = _FIELD_TO_KEY.get(f.name, f.name)
+    for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
         if f.type == "float":
             value = f"{value:.17g}"
@@ -103,6 +104,6 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=None) -> RunConfig:
     with open(path) as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)

@@ -58,12 +58,12 @@ def constrain_product(p: float, raw: Value, x: Value, y: Value,
             shared = ((isinstance(x, np.ndarray) and np.may_share_memory(raw, x))
                       or (isinstance(y, np.ndarray)
                           and np.may_share_memory(raw, y)))
-        if shared:
-            out = p * raw
-        else:
-            out = np.multiply(p, raw, out=raw)
         if closed:
-            return out
+            return p * raw if shared else np.multiply(p, raw, out=raw)
+        # p = 0 times an inf element is NaN, zeroed below like any other;
+        # errstate costs about a 12x12 multiply, so closed raws skip it
+        with np.errstate(invalid="ignore"):
+            out = p * raw if shared else np.multiply(p, raw, out=raw)
         out[~np.isfinite(out)] = 0.0
         # the method form: np.clip adds microseconds of Python dispatch,
         # which small (12x12) matrices notice

@@ -92,7 +92,6 @@ def test_evolve_bad_env(tmp_path, capsys):
 
 
 def test_bad_env_leaves_existing_run_alone(tmp_path, capsys):
-    # an env typo used to truncate the previous run's log.txt
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_SMALL_RUN)
     run = tmp_path / "run"
@@ -100,9 +99,34 @@ def test_bad_env_leaves_existing_run_alone(tmp_path, capsys):
                      "--out", str(run)]) == cli.EXIT_OK
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     assert before["log.txt"]
-    assert cli.main(["evolve", "--config", str(cfg), "--out", str(run),
-                     "--env", "ctach"]) == cli.EXIT_CONFIG
-    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    # an env typo used to truncate the previous run's log.txt, and so did
+    # a server command shlex cannot split, as exit 3
+    for bad_keys, flags in (("", ["--env", "ctach"]),
+                            ('env = ale:pong\nale_server = "x\n', [])):
+        cfg.write_text(_SMALL_RUN + bad_keys)
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(run),
+                         *flags]) == cli.EXIT_CONFIG
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("file_keys, flags", [
+    pytest.param("seed = -1\n", ["--seed", "3"], id="seed"),
+    pytest.param("seed = 3\nenv = ctach\n", ["--env", "catch"], id="env"),
+])
+def test_overrides_replace_bad_file_values(tmp_path, capsys, file_keys,
+                                           flags):
+    # the file's values used to be checked before the overrides replaced
+    # them, so both of these exited 2
+    runs = {}
+    for name, keys, extra in (("file", "seed = 3\n", []),
+                              ("override", file_keys, flags)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(_SMALL_RUN + keys)
+        assert cli.main(["evolve", "--config", str(cfg), "--out",
+                         str(tmp_path / name), *extra]) == cli.EXIT_OK
+        runs[name] = [(tmp_path / name / f).read_bytes()
+                      for f in ("log.txt", "best.cgp", "best.seed")]
+    assert runs["override"] == runs["file"]
 
 
 def _replay_cmd(tmp_path, *flags):
@@ -254,6 +278,21 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
     pytest.param(
         ["evolve", "--env", "ale:pong", "--out", "{tmp}/run"], {},
         cli.EXIT_CONFIG, id="evolve-ale-without-server"),
+    pytest.param(
+        ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"],
+        {"run.cfg": 'env = ale:pong\nale_server = "x\n'},
+        cli.EXIT_CONFIG, id="evolve-unsplittable-ale-server"),
+    # an empty override is a value like any other, not a missing one
+    pytest.param(
+        ["evolve", "--env", "", "--out", "{tmp}/run"], {},
+        cli.EXIT_CONFIG, id="evolve-empty-env"),
+    pytest.param(
+        ["evolve", "--out", ""], {}, cli.EXIT_CONFIG, id="evolve-empty-out"),
+    # an overridden file value must still parse
+    pytest.param(
+        ["evolve", "--config", "{tmp}/run.cfg", "--seed", "3", "--out",
+         "{tmp}/run"], {"run.cfg": "seed = soon\n"},
+        cli.EXIT_CONFIG, id="evolve-overridden-seed-unparsable"),
     # a 26-byte file whose header asks for ten million input nodes
     pytest.param(
         ["export-dot", "{tmp}/g.cgp"], {"g.cgp": _HUGE_N_INPUT},

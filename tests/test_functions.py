@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def test_inv_zero_becomes_zero_output():
     assert _f("INV").impl(0.0, 0.0, 0.0) == math.inf
     assert apply(_f("INV"), 0.0, 0.0, 1.0) == 0.0
     assert apply(_f("INV"), 0.5, 0.0, 0.5) == 1.0  # 0.5 * 2 clamps at 1
+
+
+def test_inv_of_zero_matrix_at_zero_weight_is_quiet():
+    # p * inf is NaN at p = 0; it is zeroed, and used to warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply(_f("INV"), np.zeros((2, 2)), 0.0, 0.0)
+    assert np.array_equal(out, np.zeros((2, 2)))
 
 
 def test_matrix_wire_on_scalar():

@@ -55,7 +55,7 @@ def test_config_round_trip():
 def test_config_lambda_key():
     cfg = parse_config("lambda = 7\n")
     assert cfg.lam == 7
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="unknown key"):
         parse_config("lam = 7\n")  # only the spelled-out key is accepted
 
 
@@ -72,6 +72,17 @@ def test_config_unknown_key():
     # a ROM directory goes at the end of the ale_server command
     with pytest.raises(FormatError, match="unknown key"):
         parse_config("rom_dir = /roms\n")
+
+
+def test_config_overrides_replace_file_values():
+    # only the merged values are checked, so a replaced value may be bad
+    assert parse_config("seed = -1\n", {"seed": 3}).seed == 3
+    assert parse_config("env = ctach\n", {"env": "catch"}).env == "catch"
+    # but the file must still parse
+    with pytest.raises(FormatError, match="seed"):
+        parse_config("seed = soon\n", {"seed": 3})
+    with pytest.raises(FormatError, match="seed"):
+        parse_config("", {"seed": -1})
 
 
 def test_config_bad_values():
@@ -91,6 +102,8 @@ def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("env = catch\nseed = 3\n")
     assert load_config(path).seed == 3
+    assert load_config(path, {"out_dir": "run"}) == RunConfig(seed=3,
+                                                              out_dir="run")
 
 
 def _genome_rejected_both_ways(text, match):
