@@ -52,7 +52,7 @@ def _load_config(args) -> evolution.RunConfig:
     # replay has no --out
     overrides = {key: value for key in ("seed", "env", "out_dir")
                  if (value := getattr(args, key, None)) is not None}
-    if args.config:
+    if args.config is not None:
         return persist.load_config(args.config, overrides)
     return evolution.RunConfig(**overrides)
 
@@ -89,7 +89,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_replay(args) -> int:
     """Replay the evaluation evolve logged: cfg.episodes episodes from eval
-    seed cfg.seed, printing each counted frame and then their mean."""
+    seed cfg.seed, printing each counted frame and then their mean. With
+    more than one episode, `episode <k>` precedes each one's first frame."""
     try:
         cfg = _load_config(args)
     except (OSError, ValueError) as exc:
@@ -102,7 +103,9 @@ def cmd_replay(args) -> int:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME
 
-    def on_frame(i, action, reward, prog):
+    def on_frame(episode, i, action, reward, prog):
+        if i == 0 and cfg.episodes > 1:
+            print(f"episode {episode}")
         print(f"frame {i} action {action} reward {reward}")
         if args.trace:
             # the plan lists the active program nodes in ascending order

@@ -20,6 +20,7 @@ order, so serial and parallel runs log identically.
 
 from __future__ import annotations
 
+import functools
 import math
 import shlex
 from concurrent.futures import ProcessPoolExecutor
@@ -165,7 +166,8 @@ def evaluate(genome: Genome, environment, episodes_per_eval: int,
 
     The genome must read the observation planes and have one output per
     action of the environment, or GenomeMismatch is raised before any play.
-    on_frame is handed to every envs.run_episode call.
+    on_frame, if given, is called as on_frame(episode, frame index, action,
+    reward, program) after every counted frame of every episode.
     """
     if (genome.n_input != envs.N_INPUT_PLANES
             or genome.n_output != environment.n_actions):
@@ -177,7 +179,7 @@ def evaluate(genome: Genome, environment, episodes_per_eval: int,
     totals = [
         envs.run_episode(program, environment, eval_seed, episode=ep,
                          p_fskip=p_fskip, frame_cap=frame_cap,
-                         on_frame=on_frame)
+                         on_frame=on_frame and functools.partial(on_frame, ep))
         for ep in range(episodes_per_eval)
     ]
     return sum(totals) / len(totals)

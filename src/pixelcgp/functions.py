@@ -21,8 +21,9 @@ every matrix result finite and in [-1, 1], so apply only scales its matrix
 results by p. Every output stays bit-equal to constrain(p * f(x, y, p)).
 
 Scalar formulas use math.*; matrix formulas use the corresponding numpy
-ufuncs and plain np.sum reductions. Both choices are deterministic, so any
-reimplementation using the same primitives reproduces results bit-exactly.
+ufuncs, and sums use np.add.reduce(x, None), the reduction np.sum(x) runs.
+Both choices are deterministic, so any reimplementation using the same
+primitives (np.sum included) reproduces results bit-exactly.
 """
 
 from __future__ import annotations
@@ -205,21 +206,27 @@ _atan = _un(lambda e: 4.0 * math.atan(e) / math.pi, _atan_m)
 
 # --- statistical (matrix-requiring, wire on scalar x) -----------------------
 
+# Sums are np.add.reduce(a, None), the reduction np.sum(a) runs for an
+# ndarray after microseconds of Python dispatch; scalar_of is the mean.
+
 def _stddev(x, y, p):
     n = x.size
     if n < 2:
         return math.nan
-    d = x - (float(np.sum(x)) / n)
-    return math.sqrt(float(np.sum(np.multiply(d, d, out=d))) / (n - 1))
+    d = x - scalar_of(x)
+    d2 = np.multiply(d, d, out=d)
+    return math.sqrt(float(np.add.reduce(d2, None)) / (n - 1))
 
 
 def _central_moments(x: np.ndarray) -> tuple[float, float, float]:
     n = x.size
-    d = x - (float(np.sum(x)) / n)
+    d = x - scalar_of(x)
     d2 = d * d
-    m2 = float(np.sum(d2)) / n
-    m3 = float(np.sum(np.multiply(d2, d, out=d))) / n    # d3 overwrites d
-    m4 = float(np.sum(np.multiply(d2, d2, out=d2))) / n  # d4 overwrites d2
+    m2 = float(np.add.reduce(d2, None)) / n
+    d3 = np.multiply(d2, d, out=d)      # overwrites d
+    m3 = float(np.add.reduce(d3, None)) / n
+    d4 = np.multiply(d2, d2, out=d2)    # overwrites d2
+    m4 = float(np.add.reduce(d4, None)) / n
     return m2, m3, m4
 
 
@@ -241,7 +248,7 @@ def _kurtosis(x, y, p):
 
 
 def _mean(x, y, p):
-    return float(np.sum(x)) / x.size
+    return scalar_of(x)
 
 
 def _range(x, y, p):
@@ -346,7 +353,7 @@ def _avg_differences(x, y, p):
     if x.size < 2:
         return 0.0
     diffs = np.diff(x.reshape(-1))
-    return float(np.sum(diffs)) / diffs.size
+    return float(np.add.reduce(diffs, None)) / diffs.size
 
 
 def _rotate(x, y, p):
@@ -364,14 +371,24 @@ def _reverse(x, y, p):
 MAX_PUSH_ELEMENTS = 65536
 
 
+def _push(first: Value, second: Value) -> np.ndarray:
+    """first's elements, then second's, capped: one row holding only the
+    kept elements, so no longer concatenation is built and cut."""
+    a, b = _as_row(first), _as_row(second)
+    na = min(a.size, MAX_PUSH_ELEMENTS)
+    nb = min(b.size, MAX_PUSH_ELEMENTS - na)
+    out = np.empty((1, na + nb))
+    out[0, :na] = a[:na]
+    out[0, na:] = b[:nb]
+    return out
+
+
 def _push_back(x, y, p):
-    out = np.concatenate([_as_row(x), _as_row(y)])
-    return out[:MAX_PUSH_ELEMENTS].reshape(1, -1)
+    return _push(x, y)
 
 
 def _push_front(x, y, p):
-    out = np.concatenate([_as_row(y), _as_row(x)])
-    return out[:MAX_PUSH_ELEMENTS].reshape(1, -1)
+    return _push(y, x)
 
 
 def _set(x, y, p):
@@ -385,7 +402,7 @@ def _set(x, y, p):
 
 
 def _sum(x, y, p):
-    return float(np.sum(x))
+    return float(np.add.reduce(x, None))
 
 
 def _transpose(x, y, p):

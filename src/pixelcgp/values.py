@@ -9,16 +9,57 @@ Values are treated as immutable: no function in this package mutates a
 matrix it received or handed out. The one in-place write, in
 constrain_product, goes only into an array that shares no memory with any
 value passed to it, i.e. a temporary the caller allocated itself.
+
+Importing this module sets glibc's malloc thresholds for the whole process,
+once. Node evaluation allocates fresh 210x160 planes (269 KB), capped PUSH
+rows (524 KB) and decoded RGB frames (806 KB) on every frame. By default
+glibc serves such blocks by mmap, or returns them to the system once the
+heap top holds more than its trim threshold, so their pages fault in again
+on most allocations. mallopt raises the mmap threshold to MMAP_THRESHOLD
+and the trim threshold to TRIM_THRESHOLD, so these arrays come from memory
+the process already holds. Where the C library has no working mallopt
+(macOS, Windows; musl's is a stub), nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Union
 
 import numpy as np
 
 Value = Union[float, np.ndarray]
+
+# glibc <malloc.h> parameter numbers, and the values set for them. The mmap
+# threshold lies above the largest per-frame array (806 KB). The trim
+# threshold is the least power of two at which the benchmark's pixel_eval
+# blocks stop faulting freed heap in again (glibc 2.36; the sweep is in
+# CHANGES.md). Heap freed up to TRIM_THRESHOLD stays resident.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 2 << 20
+TRIM_THRESHOLD = 16 << 20
+
+
+def keep_large_arrays_in_heap(load=ctypes.CDLL) -> bool:
+    """Set the process's malloc thresholds; False where mallopt is missing
+    or refuses them.
+
+    load opens the C library the process already links (load(None)).
+    """
+    try:
+        mallopt = load(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False   # TypeError: Windows has no process-wide CDLL(None)
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+
+
+keep_large_arrays_in_heap()
 
 
 def constrain(v: Value) -> Value:
@@ -77,12 +118,15 @@ def constrain_product(p: float, raw: Value, x: Value, y: Value,
 def scalar_of(v: Value) -> float:
     """Scalar view of a value: identity on scalars, element mean on matrices."""
     if isinstance(v, np.ndarray):
-        return float(np.sum(v)) / v.size
+        # np.sum's own reduction, without its Python wrapper
+        return float(np.add.reduce(v, None)) / v.size
     return float(v)
 
 
 def crop_to_common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Crop both matrices to their common top-left (min rows, min cols) block."""
+    if a.shape == b.shape:
+        return a, b
     rows = min(a.shape[0], b.shape[0])
     cols = min(a.shape[1], b.shape[1])
     return a[:rows, :cols], b[:rows, :cols]

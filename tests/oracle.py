@@ -302,7 +302,9 @@ def ref_node_output(name, x, y, p):
         raw = x
     else:
         raw = REF[name](x, y, p)
-    return clampfix(p * raw)
+    # p = 0 times an inf element (INV of a zero) is NaN, which clampfix zeroes
+    with np.errstate(invalid="ignore"):
+        return clampfix(p * raw)
 
 
 def same_value(a, b) -> bool:

@@ -179,6 +179,19 @@ def test_replay_tracker(tmp_path, capsys):
     assert lines[-1] == "total 10.0"
 
 
+def test_replay_marks_each_episode(tmp_path, capsys):
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p_fskip = 0\nepisodes = 3\nframe_cap = 5\n")
+    assert cli.main(["replay", str(path), "--config", str(cfg)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    marks = [k for k, line in enumerate(lines) if line.startswith("episode ")]
+    assert [lines[k] for k in marks] == ["episode 0", "episode 1", "episode 2"]
+    assert all(lines[k + 1].startswith("frame 0 ") for k in marks)
+    assert marks == [0, 6, 12] and len(lines) == 19   # 3 x (1 + 5) + total
+
+
 def test_replay_trace_lists_active_nodes(tmp_path, capsys):
     path = tmp_path / "tracker.cgp"
     persist.save_genome(build_tracker(), path)
@@ -288,6 +301,13 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
         cli.EXIT_CONFIG, id="evolve-empty-env"),
     pytest.param(
         ["evolve", "--out", ""], {}, cli.EXIT_CONFIG, id="evolve-empty-out"),
+    pytest.param(
+        ["evolve", "--config", "", "--out", "{tmp}/run"], {},
+        cli.EXIT_CONFIG, id="evolve-empty-config"),
+    pytest.param(
+        ["replay", "{tmp}/g.cgp", "--config", ""],
+        {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n"},
+        cli.EXIT_CONFIG, id="replay-empty-config"),
     # an overridden file value must still parse
     pytest.param(
         ["evolve", "--config", "{tmp}/run.cfg", "--seed", "3", "--out",

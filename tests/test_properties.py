@@ -167,3 +167,42 @@ def test_endpoint_check_refuses_a_kernel_that_rounds_up():
     assert not check(up(lambda m: (m == -1.0) & (m.size == 1)), (1.0, -1.0))
     assert not check(up(lambda m: (m > 0.5) & (m.size > 1)), (1.0, -1.0))
     assert not check(lambda m: np.full(m.shape, np.nan), (1.0,))
+
+
+# --- PUSH_BACK/PUSH_FRONT copy only the elements they keep -------------------
+
+_CAP = functions.MAX_PUSH_ELEMENTS
+# below, at and across the cap, alone and summed with the other operand
+push_length = st.one_of(st.integers(1, 8), st.integers(_CAP - 4, _CAP + 4),
+                        st.integers(1, 2 * _CAP))
+
+
+@st.composite
+def push_operand(draw):
+    if draw(st.booleans()):
+        return draw(edge_scalar)
+    n = draw(push_length)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.uniform(-1.0, 1.0, (1, n))
+    m[0, rng.integers(0, n, 4)] = -0.0
+    layout = draw(st.sampled_from(["row", "reversed", "column"]))
+    if layout == "reversed":
+        return m[:, ::-1]      # a strided view, as REVERSE's kernel makes
+    return m.T if layout == "column" else m
+
+
+def _row(v):
+    return v.reshape(-1) if isinstance(v, np.ndarray) else np.array([v])
+
+
+@settings(deadline=None, max_examples=60)
+@given(x=push_operand(), y=push_operand(), p=edge_scalar)
+@pytest.mark.parametrize("name", ["PUSH_BACK", "PUSH_FRONT"])
+def test_push_matches_concatenate_then_cap(name, x, y, p):
+    first, second = (x, y) if name == "PUSH_BACK" else (y, x)
+    capped = np.concatenate([_row(first), _row(second)])[:_CAP]
+    want = p * capped.reshape(1, -1)   # closed: apply only scales by p
+    got = apply(functions.FUNCTIONS_BY_NAME[name], x, y, p)
+    assert got.shape == want.shape == (1, min(_row(x).size + _row(y).size,
+                                               _CAP))
+    assert got.tobytes() == want.tobytes()
