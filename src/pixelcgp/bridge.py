@@ -14,7 +14,7 @@ The wire protocol is line-framed requests with mixed text/binary replies:
 Requests and replies strictly alternate. Any malformed reply, short read or
 server exit raises BridgeError; a violation never degrades into a silent
 zero observation. The handshake's screen is at least 1x1, and its frame at
-most MAX_FRAME_BYTES.
+most MAX_FRAME_BYTES. A step's reward is finite, and its done flag 0 or 1.
 
 The evolved program sees only the game's legal action subset: local output
 index i maps to the i-th entry of the handshake's action list, which indexes
@@ -24,6 +24,7 @@ the full 18-action controller table.
 from __future__ import annotations
 
 import contextlib
+import math
 import shlex
 import subprocess
 
@@ -108,13 +109,16 @@ class BridgeSession:
     def act(self, global_action: int) -> tuple[Observation, float, bool]:
         self._send(f"ACT {global_action}")
         reply = self._recv_line().split()
-        if len(reply) != 3 or reply[0] != "R":
+        if len(reply) != 3 or reply[0] != "R" or reply[2] not in ("0", "1"):
             raise BridgeError(f"malformed step reply: {reply}")
         try:
             reward = float(reply[1])
-            done = bool(int(reply[2]))
         except ValueError as exc:
             raise BridgeError(f"malformed step reply: {reply}") from exc
+        # a NaN or infinite reward would become the run's fitness
+        if not math.isfinite(reward):
+            raise BridgeError(f"non-finite reward in step reply: {reply}")
+        done = reply[2] == "1"
         raw = self._recv_exact(3 * self.width * self.height)
         planes = np.frombuffer(raw, dtype=np.uint8).reshape(
             3, self.height, self.width) / 255.0

@@ -15,21 +15,16 @@ def export_dot(genome: Genome) -> str:
 
 
 def program_dot(program: Program) -> str:
-    active = trace_active(program)
     lines = ["digraph cgp {", "  rankdir=LR;"]
-    for n in sorted(active):
+    for n in sorted(trace_active(program)):
         if n < program.n_input:
             lines.append(f'  n{n} [shape=box, label="in{n}"];')
-    for n in sorted(active):
-        if n < program.n_input:
-            continue
-        nd = program.nodes[n - program.n_input]
-        lines.append(
-            f'  n{n} [label="{n}:{nd.spec.name} p={nd.p:.2f}"];')
-        if nd.spec.trace_x:
-            lines.append(f"  n{nd.xi} -> n{n};")
-        if nd.spec.trace_y:
-            lines.append(f"  n{nd.yi} -> n{n} [style=dashed];")
+    for n, spec, xi, yi, p in program.plan:
+        lines.append(f'  n{n} [label="{n}:{spec.name} p={p:.2f}"];')
+        if spec.trace_x:
+            lines.append(f"  n{xi} -> n{n};")
+        if spec.trace_y:
+            lines.append(f"  n{yi} -> n{n} [style=dashed];")
     for action, src in enumerate(program.outputs):
         lines.append(f'  out{action} [shape=box, label="action {action}"];')
         lines.append(f"  n{src} -> out{action};")

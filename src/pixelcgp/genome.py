@@ -6,9 +6,15 @@ takes four genes in order: x connection, y connection, function, parameter.
 The graph has N = n_input + C nodes, the first n_input of which are the
 program inputs and carry no genes.
 
-Connection genes are scaled by ((N - n) * r + n) and floored, so r = 0
-yields strictly feedforward graphs and r = 1 lets connections address the
-whole graph. Node states start at scalar 0 and are updated in place in
+An output gene g addresses node floor(g * N). A connection gene of node n
+is scaled by ((N - n) * r + n) and floored, so r = 0 yields strictly
+feedforward graphs and r = 1 lets connections address the whole graph. A
+function gene f picks entry floor(f * 53) of the function table, and a
+parameter gene g gives p = 2g - 1.
+
+decode reads only the genes of nodes reachable from the outputs through
+the connections their functions read; every other gene is junk it never
+looks at. Every node state starts at scalar 0 and is updated in place in
 ascending node order, one pass per step: a link to a lower index reads this
 step's fresh value, a link to an equal or higher index reads the previous
 step's value.
@@ -86,34 +92,23 @@ def connection_index(gene: float, n: int, N: int, r: float) -> int:
 
 
 @dataclass
-class Node:
-    xi: int
-    yi: int
-    spec: fns.FunctionSpec
-    p: float
-
-
-@dataclass
 class Program:
-    """Decoded phenotype: executable graph plus its per-node state buffer."""
+    """Decoded phenotype. The plan is the program: one entry
+    (node index, spec, x index, y index, p) per active node, in ascending
+    node order. Inactive nodes are neither decoded nor run."""
 
     n_input: int
-    nodes: list[Node]          # program nodes only, graph indices n_input..N-1
+    n_nodes: int               # state size: inputs plus program nodes
     outputs: list[int]         # node indices, one per action
+    plan: list[tuple[int, fns.FunctionSpec, int, int, float]]
     state: list[Value] = field(init=False)
 
     def __post_init__(self):
         self.reset()
-        # evaluation plan: (node index, spec, x index, y index, p) for each
-        # active node in ascending order; inactive nodes are never run
-        active = trace_active(self)
-        self.plan = [(n, nd.spec, nd.xi, nd.yi, nd.p)
-                     for n, nd in enumerate(self.nodes, self.n_input)
-                     if n in active]
 
     def reset(self) -> None:
         """Zero every node state (fresh-episode condition)."""
-        self.state = [0.0] * (self.n_input + len(self.nodes))
+        self.state = [0.0] * self.n_nodes
 
     def step(self, inputs: list[Value]) -> list[Value]:
         """One synchronous pass: load inputs, update active nodes in order."""
@@ -128,45 +123,45 @@ class Program:
 
 
 def decode(genome: Genome) -> Program:
-    """Expand a genome into its program graph; the Program it returns has
-    traced its active nodes once, into its evaluation plan."""
-    N = genome.n_nodes
+    """Walk from the outputs through the connections each function reads
+    (x for arity 1, both for arity 2, y alone for YWIRE, none for arity 0),
+    decoding a node's genes when the walk first reaches it. Visited marking
+    makes the walk terminate on recurrent cycles."""
+    n_input, N, r = genome.n_input, genome.n_nodes, genome.r
     genes = genome.genes
     outputs = [int(g * N) for g in genes[: genome.n_output]]
-    nodes = []
-    for k in range(genome.C):
-        n = genome.n_input + k
-        xg, yg, fg, pg = genes[genome.n_output + 4 * k : genome.n_output + 4 * k + 4]
-        nodes.append(Node(
-            xi=connection_index(xg, n, N, genome.r),
-            yi=connection_index(yg, n, N, genome.r),
-            spec=fns.function_from_gene(fg),
-            p=2.0 * pg - 1.0,
-        ))
-    return Program(genome.n_input, nodes, outputs)
+    plan = []
+    seen: set[int] = set()
+    stack = list(outputs)
+    while stack:
+        n = stack.pop()
+        if n < n_input or n in seen:
+            continue
+        seen.add(n)
+        k = genome.n_output + 4 * (n - n_input)
+        xg, yg, fg, pg = genes[k : k + 4]
+        spec = fns.function_from_gene(fg)
+        xi = connection_index(xg, n, N, r)
+        yi = connection_index(yg, n, N, r)
+        plan.append((n, spec, xi, yi, 2.0 * pg - 1.0))
+        if spec.trace_x:
+            stack.append(xi)
+        if spec.trace_y:
+            stack.append(yi)
+    plan.sort(key=lambda entry: entry[0])
+    return Program(n_input, N, outputs, plan)
 
 
 def trace_active(program: Program) -> set[int]:
-    """Nodes reachable from the outputs through read connections.
-
-    Visited marking makes the walk terminate on recurrent cycles. Only the
-    connections a function actually reads are followed (x for arity 1, both
-    for arity 2, y alone for YWIRE, none for arity 0).
-    """
-    active: set[int] = set()
-    stack = list(program.outputs)
-    while stack:
-        n = stack.pop()
-        if n in active:
-            continue
+    """Nodes reachable from the outputs through read connections: the
+    outputs, the plan's nodes and the operands those nodes read."""
+    active = set(program.outputs)
+    for n, spec, xi, yi, _ in program.plan:
         active.add(n)
-        if n < program.n_input:
-            continue
-        nd = program.nodes[n - program.n_input]
-        if nd.spec.trace_x:
-            stack.append(nd.xi)
-        if nd.spec.trace_y:
-            stack.append(nd.yi)
+        if spec.trace_x:
+            active.add(xi)
+        if spec.trace_y:
+            active.add(yi)
     return active
 
 

@@ -87,8 +87,10 @@ def build_tracker() -> Genome:
 
     # decode round-trip check: the gene quantization must land exactly
     program = decode(genome)
-    for want, nd in zip(b.rows, program.nodes):
-        assert (nd.xi, nd.yi, nd.spec.id) == want[:3]
-        assert abs(nd.p - want[3]) < 1e-12
+    assert len(program.plan) == len(b.rows)   # every node is active
+    for n, spec, xi, yi, p in program.plan:
+        want = b.rows[n - N_INPUT]
+        assert (xi, yi, spec.id) == want[:3]
+        assert abs(p - want[3]) < 1e-12
     assert program.outputs == [blue, chain, neg]
     return genome

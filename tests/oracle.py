@@ -1,4 +1,5 @@
-"""Independent reference semantics for the 53 node functions.
+"""Independent reference semantics for the 53 node functions, and a
+reference genome decode (ref_decode).
 
 Written from the function table alone, separately from the package
 implementation, so the two can be compared case by case. Every rule is
@@ -294,6 +295,54 @@ REF = {
 }
 
 assert len(REF) == 53
+
+
+# Operands each function reads: x and y for the two-operand functions, y
+# alone for YWIRE, none for CONST and x alone for the rest.
+READS_X = set(REF) - {"YWIRE", "CONST"}
+READS_Y = {"ADD", "AMINUS", "MULT", "YPOW", "SQRTXY", "LT", "GT", "MAX2",
+           "MIN2", "RANGE_IN", "INDEX_Y", "PUSH_BACK", "PUSH_FRONT", "SET",
+           "YWIRE"}
+
+
+def ref_decode(genome):
+    """All C nodes decoded by the formulas in the genome module's docstring,
+    then the set reachable from the outputs, found by recursion.
+
+    Returns (outputs, nodes, reachable): nodes maps each program node index
+    to (function name, x index, y index, p). REF lists the functions in
+    function-gene order.
+    """
+    n_in, C, r = genome.n_input, genome.C, genome.r
+    N = n_in + C
+    genes = genome.genes
+    outputs = [math.floor(g * N) for g in genes[: genome.n_output]]
+    names = list(REF)
+    nodes = {}
+    for k in range(C):
+        n = n_in + k
+        lo = genome.n_output + 4 * k
+        xg, yg, fg, pg = genes[lo : lo + 4]
+        scale = (N - n) * r + n
+        nodes[n] = (names[math.floor(fg * len(names))],
+                    math.floor(xg * scale), math.floor(yg * scale),
+                    2.0 * pg - 1.0)
+    reachable = set()
+
+    def visit(n):
+        if n in reachable:
+            return
+        reachable.add(n)
+        if n >= n_in:
+            name, xi, yi, _ = nodes[n]
+            if name in READS_X:
+                visit(xi)
+            if name in READS_Y:
+                visit(yi)
+
+    for o in outputs:
+        visit(o)
+    return outputs, nodes, reachable
 
 
 def ref_node_output(name, x, y, p):

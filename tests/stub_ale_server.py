@@ -11,6 +11,8 @@ Modes:
   negative announce a -4x3 screen
   huge     announce a 60000x60000 screen, far above the client's frame cap
   badline  reply garbage to ACT
+  nanreward reply to ACT with a NaN reward, then a whole frame
+  baddone  reply to ACT with done flag 2, then a whole frame
   short    send a truncated frame and exit
 """
 
@@ -41,8 +43,9 @@ def main():
                 return
             action = int(parts[1])
             steps += 1
-            done = 1 if steps >= 3 else 0
-            out.write(f"R {action}.5 {done}\n".encode())
+            reward = "nan" if mode == "nanreward" else f"{action}.5"
+            done = 2 if mode == "baddone" else int(steps >= 3)
+            out.write(f"R {reward} {done}\n".encode())
             if mode == "short":
                 out.write(bytes(5))
                 out.flush()

@@ -95,6 +95,18 @@ def test_malformed_step_reply():
         s.close()
 
 
+@pytest.mark.parametrize("mode, match", [("nanreward", "non-finite reward"),
+                                         ("baddone", "malformed step reply")])
+def test_bad_reward_or_done_flag(mode, match):
+    # a NaN reward used to become the run's fitness, and any integer its done
+    s = BridgeSession(_cmd(mode), "pong")
+    try:
+        with pytest.raises(BridgeError, match=match):
+            s.act(0)
+    finally:
+        s.close()
+
+
 def test_short_frame_read():
     s = BridgeSession(_cmd("short"), "pong")
     try:

@@ -256,6 +256,7 @@ def test_export_dot_bad_file(tmp_path, capsys):
 
 
 _SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
+_NAN_SERVER = shlex.join([sys.executable, STUB, "nanreward"])
 _HUGE_N_INPUT = "CGP1 10000000 1 0 0.5\n0.5\n"
 _EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
 _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
@@ -278,6 +279,12 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
         {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n",
          "run.cfg": f"env = ale:pong\nale_server = {_SHORT_SERVER}\n"},
         cli.EXIT_ENV, id="replay-short-frame"),
+    # the emulator replies with a NaN reward, which used to total nan
+    pytest.param(
+        ["replay", "{tmp}/g.cgp", "--config", "{tmp}/run.cfg"],
+        {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n",
+         "run.cfg": f"env = ale:pong\nale_server = {_NAN_SERVER}\n"},
+        cli.EXIT_ENV, id="replay-nan-reward"),
     pytest.param(
         ["replay", "{tmp}/g.cgp", "--seed", "-1"],
         {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n"},

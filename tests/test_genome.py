@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracle import matrix
+from oracle import matrix, ref_decode
 from pixelcgp.functions import FUNCTIONS_BY_NAME, apply
-from pixelcgp.genome import (Genome, Node, Program, connection_index, decode,
+from pixelcgp.genome import (Genome, Program, connection_index, decode,
                              random_genome, select_action, trace_active)
 
 
@@ -37,10 +37,11 @@ def test_connection_index_recurrent_scale():
 
 def test_parameter_decoding():
     genes = np.zeros(1 + 4)
-    genes[0] = 0.2  # output -> node 0 of 2
+    genes[0] = 0.7  # output -> node 1 of 2, the program node
     genes[1:] = [0.1, 0.1, 0.0, 0.75]  # ADD node, p gene 0.75
     prog = decode(Genome(genes, 1, 1, 1, 0.0))
-    assert prog.nodes[0].p == 0.5
+    [(_, _, _, _, p)] = prog.plan
+    assert p == 0.5
 
 
 def test_decode_marks_active_nodes():
@@ -67,32 +68,53 @@ def test_inactive_nodes_are_never_evaluated():
     assert prog.state[4] == 0.0
 
 
+def test_decode_matches_reference_decode():
+    # the plan, trace_active and the DOT export all read what decode walked,
+    # so the walk is checked against a decode of every node
+    rng = np.random.default_rng(11)
+    cycles = 0
+    for r in (0.0, 0.1, 1.0):
+        for C in (1, 40, 200):
+            for _ in range(40):
+                genome = random_genome(3, 3, C, r, rng)
+                outputs, nodes, reachable = ref_decode(genome)
+                prog = decode(genome)
+                assert prog.outputs == outputs
+                assert [(n, spec.name, xi, yi, p)
+                        for n, spec, xi, yi, p in prog.plan] == [
+                    (n, *nodes[n]) for n in sorted(reachable) if n >= 3]
+                assert trace_active(prog) == reachable
+                cycles += any((spec.trace_x and xi >= n)
+                              or (spec.trace_y and yi >= n)
+                              for n, spec, xi, yi, _ in prog.plan)
+    assert cycles > 0   # recurrent links among the active nodes were walked
+
+
 def test_recurrent_self_loop_accumulates():
     # ADD(input, self) with p=1: 0 -> 0.5 -> 0.75 -> 0.875
-    node = Node(xi=0, yi=1, spec=FUNCTIONS_BY_NAME["ADD"], p=1.0)
-    prog = Program(1, [node], [1])
+    prog = Program(1, 2, [1], [(1, FUNCTIONS_BY_NAME["ADD"], 0, 1, 1.0)])
     seen = [prog.step([1.0])[0] for _ in range(3)]
     assert seen == [0.5, 0.75, 0.875]
 
 
 def test_lower_index_link_reads_fresh_value():
     add = FUNCTIONS_BY_NAME["ADD"]
-    nodes = [
-        Node(xi=0, yi=0, spec=add, p=1.0),  # node 1 = in
-        Node(xi=1, yi=1, spec=add, p=1.0),  # node 2 reads node 1
+    plan = [
+        (1, add, 0, 0, 1.0),  # node 1 = in
+        (2, add, 1, 1, 1.0),  # node 2 reads node 1
     ]
-    prog = Program(1, nodes, [2])
+    prog = Program(1, 3, [2], plan)
     # both nodes settle within the same step
     assert prog.step([0.8])[0] == 0.8
 
 
 def test_higher_index_link_reads_previous_step():
     add = FUNCTIONS_BY_NAME["ADD"]
-    nodes = [
-        Node(xi=2, yi=2, spec=add, p=1.0),  # node 1 reads node 2
-        Node(xi=0, yi=0, spec=add, p=1.0),  # node 2 = in
+    plan = [
+        (1, add, 2, 2, 1.0),  # node 1 reads node 2
+        (2, add, 0, 0, 1.0),  # node 2 = in
     ]
-    prog = Program(1, nodes, [1])
+    prog = Program(1, 3, [1], plan)
     first = prog.step([0.8])[0]   # node 2 still holds 0 when node 1 runs
     second = prog.step([0.8])[0]
     assert first == 0.0
@@ -100,8 +122,7 @@ def test_higher_index_link_reads_previous_step():
 
 
 def test_reset_zeroes_state():
-    node = Node(xi=0, yi=1, spec=FUNCTIONS_BY_NAME["ADD"], p=1.0)
-    prog = Program(1, [node], [1])
+    prog = Program(1, 2, [1], [(1, FUNCTIONS_BY_NAME["ADD"], 0, 1, 1.0)])
     prog.step([1.0])
     prog.reset()
     assert prog.state == [0.0, 0.0]
@@ -114,7 +135,7 @@ def test_ywire_traces_only_y():
     # YWIRE with x -> in0, y -> in2
     genes[1:5] = [0.5 / 3, 2.5 / 3, 47.5 / 53, 0.9]
     prog = decode(Genome(genes, 3, 1, 1, 0.0))
-    assert prog.nodes[0].spec.name == "YWIRE"
+    assert [spec.name for _, spec, *_ in prog.plan] == ["YWIRE"]
     assert trace_active(prog) == {2, 3}
 
 
@@ -133,6 +154,7 @@ def test_select_action():
 def _recursive_eval(prog, inputs):
     """Memoized recursion; valid for feedforward graphs (r = 0)."""
     memo = {}
+    entries = {n: entry for n, *entry in prog.plan}
 
     def val(n):
         if n in memo:
@@ -140,10 +162,10 @@ def _recursive_eval(prog, inputs):
         if n < prog.n_input:
             memo[n] = inputs[n]
             return memo[n]
-        nd = prog.nodes[n - prog.n_input]
-        x = val(nd.xi) if nd.spec.trace_x else 0.0
-        y = val(nd.yi) if nd.spec.trace_y else 0.0
-        memo[n] = apply(nd.spec, x, y, nd.p)
+        spec, xi, yi, p = entries[n]
+        x = val(xi) if spec.trace_x else 0.0
+        y = val(yi) if spec.trace_y else 0.0
+        memo[n] = apply(spec, x, y, p)
         return memo[n]
 
     return [val(o) for o in prog.outputs]

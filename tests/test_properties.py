@@ -81,11 +81,12 @@ def test_decode_connections_stay_in_graph(seed, C, r):
     N = genome.n_nodes
     for out in prog.outputs:
         assert 0 <= out < N
-    for k, nd in enumerate(prog.nodes):
-        assert 0 <= nd.xi < N and 0 <= nd.yi < N
-        assert -1.0 <= nd.p < 1.0
+    for n, _, xi, yi, p in prog.plan:
+        assert 3 <= n < N
+        assert 0 <= xi < N and 0 <= yi < N
+        assert -1.0 <= p < 1.0
         if r == 0.0:
-            assert nd.xi < 3 + k and nd.yi < 3 + k
+            assert xi < n and yi < n
 
 
 @settings(deadline=None, max_examples=30)
