@@ -63,19 +63,29 @@ def cmd_evolve(args) -> int:
     try:
         cfg = _load_config(args)
         os.makedirs(cfg.out_dir, exist_ok=True)
-        log_fh = open(os.path.join(cfg.out_dir, "log.txt"), "w")
+        # append mode empties nothing until this run logs generation 0
+        log_fh = open(os.path.join(cfg.out_dir, "log.txt"), "a")
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    fresh = True
+
+    def log(line: str) -> None:
+        nonlocal fresh
+        if fresh:   # a previous run's log.txt goes only now
+            log_fh.truncate(0)
+            fresh = False
+        print(line, file=log_fh)
+
     with log_fh:
         try:
-            best, state = evolution.run_evolution(
-                cfg, log_fn=lambda line: print(line, file=log_fh))
+            state = evolution.run_evolution(cfg, log_fn=log)
         except Exception as exc:
             print(f"environment error: {exc}", file=sys.stderr)
             return EXIT_ENV
     try:
-        persist.save_genome(best, os.path.join(cfg.out_dir, "best.cgp"))
+        persist.save_genome(state.elite,
+                            os.path.join(cfg.out_dir, "best.cgp"))
         # evaluation seed of the recorded fitness; replay with
         # --seed $(cat best.seed)
         with open(os.path.join(cfg.out_dir, "best.seed"), "w") as fh:

@@ -23,15 +23,12 @@ from __future__ import annotations
 import functools
 import math
 import shlex
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bridge, envs
 from .genome import Genome, decode, random_genome
-
-LOG_LINE = "generation {g} evals {e} best {f}"
 
 
 @dataclass
@@ -105,24 +102,17 @@ class RunConfig:
 
 
 @dataclass
-class LogRecord:
-    generation: int
-    best_fitness: float
-    evaluations: int
+class EvolutionState:
+    elite: Genome              # the best genome so far
+    elite_fitness: float
+    elite_seed: int            # eval seed that produced elite_fitness
+    evaluations_used: int
+    generation: int = 0
 
     def line(self) -> str:
-        return LOG_LINE.format(g=self.generation, e=self.evaluations,
-                               f=self.best_fitness)
-
-
-@dataclass
-class EvolutionState:
-    elite: Genome
-    elite_fitness: float
-    elite_seed: int = 0        # eval seed that produced elite_fitness
-    evaluations_used: int = 0
-    generation: int = 0
-    log: list[LogRecord] = field(default_factory=list)
+        """The latest generation's log line."""
+        return (f"generation {self.generation} evals {self.evaluations_used} "
+                f"best {self.elite_fitness}")
 
 
 def eval_seed_for(run_seed: int, generation: int, index: int) -> int:
@@ -199,8 +189,9 @@ def _score_in_worker(genome: Genome, seed: int) -> float:
 
 
 def run_evolution(config: RunConfig, workers: int = 1,
-                  log_fn=None) -> tuple[Genome, EvolutionState]:
-    """Full 1+lambda run; returns the final elite and the run state.
+                  log_fn=None) -> EvolutionState:
+    """Full 1+lambda run; returns the final state, whose elite is the best
+    genome. log_fn, if given, gets each generation's line, from 0 on.
 
     The genome has one input per observation plane and one output per
     action of the config's environment. The env is built once here and,
@@ -211,6 +202,8 @@ def run_evolution(config: RunConfig, workers: int = 1,
     pool = None
     try:
         if workers > 1:
+            # only a pool loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(workers, initializer=_init_worker,
                                        initargs=(config,))
 
@@ -225,7 +218,8 @@ def run_evolution(config: RunConfig, workers: int = 1,
         seed = eval_seed_for(config.seed, 0, 0)
         state = EvolutionState(first, score([first], [seed])[0], seed,
                                evaluations_used=1)
-        _log(state, log_fn)
+        if log_fn is not None:
+            log_fn(state.line())
         for gen in range(1, config.generations + 1):
             offspring = [
                 mutate(state.elite, config.m_nodes, config.m_output, rng)
@@ -240,18 +234,11 @@ def run_evolution(config: RunConfig, workers: int = 1,
                 state.elite, state.elite_fitness, state.elite_seed = (
                     offspring[best_i], fits[best_i], seeds[best_i])
             state.generation = gen
-            _log(state, log_fn)
-        return state.elite, state
+            if log_fn is not None:
+                log_fn(state.line())
+        return state
     finally:
         if pool is not None:
             pool.shutdown()
         if hasattr(env, "close"):
             env.close()
-
-
-def _log(state: EvolutionState, log_fn) -> None:
-    rec = LogRecord(state.generation, state.elite_fitness,
-                    state.evaluations_used)
-    state.log.append(rec)
-    if log_fn is not None:
-        log_fn(rec.line())

@@ -6,9 +6,10 @@ Matrices are never empty (rows >= 1 and cols >= 1). Row-major element order
 is the single convention for every flattening and indexing operation.
 
 Values are treated as immutable: no function in this package mutates a
-matrix it received or handed out. The one in-place write, in
-constrain_product, goes only into an array that shares no memory with any
-value passed to it, i.e. a temporary the caller allocated itself.
+matrix it received or handed out. Writes go only into arrays allocated in
+the same functions.apply call: the kernels' out= targets, the row _push
+fills, and a raw result that constrain_product scales in place only when
+it shares no memory with the operands.
 
 Importing this module sets glibc's malloc thresholds for the whole process,
 once. Node evaluation allocates fresh 210x160 planes (269 KB), capped PUSH

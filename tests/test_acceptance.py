@@ -109,8 +109,9 @@ def test_criterion_04_mutation_counts():
 def test_criterion_05_evolution_invariants():
     gens_ok = RunConfig(lam=9, n_eval=10000).generations == 1112
     cfg = RunConfig(c=10, lam=9, n_eval=90, seed=17)
-    _, state = run_evolution(cfg)
-    fits = [rec.best_fitness for rec in state.log]
+    lines = []
+    run_evolution(cfg, log_fn=lines.append)
+    fits = [float(line.split()[-1]) for line in lines]
     monotone = all(b >= a for a, b in zip(fits, fits[1:]))
     identical = True
     for seed in range(5):
@@ -180,7 +181,7 @@ def test_criterion_07_catch_capability():
     best_fits = []
     for seed in seeds:
         cfg = RunConfig(seed=seed)  # c=40, lam=9, n_eval=10000
-        _, state = run_evolution(cfg)
+        state = run_evolution(cfg)
         best_fits.append(state.elite_fitness)
         _shared.setdefault("evolved", []).append(state.elite)
     rng = np.random.default_rng(0)
@@ -244,8 +245,8 @@ def test_criterion_09_round_trips():
     c_ok = parse_config(serialize_config(cfg)) == cfg
 
     run_cfg = RunConfig(c=20, lam=9, n_eval=45, seed=8)
-    elite, state = run_evolution(run_cfg)
-    reloaded = parse_genome(serialize_genome(elite))
+    state = run_evolution(run_cfg)
+    reloaded = parse_genome(serialize_genome(state.elite))
     replay = evaluate(reloaded, Catch(), run_cfg.episodes,
                       state.elite_seed, p_fskip=run_cfg.p_fskip,
                       frame_cap=run_cfg.frame_cap)
@@ -261,7 +262,7 @@ def test_criterion_10_dot_export_active_only():
     if evolved:
         best = evolved[0]
     else:  # criterion 7 did not run; evolve a small stand-in
-        best, _ = run_evolution(RunConfig(c=20, n_eval=45, seed=2))
+        best = run_evolution(RunConfig(c=20, n_eval=45, seed=2)).elite
     text = export_dot(best)
     declared = {int(m) for m in re.findall(r"^  n(\d+) \[", text, re.M)}
     active = trace_active(decode(best))

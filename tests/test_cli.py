@@ -15,6 +15,7 @@ from catch_tracker import build_tracker
 
 STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
 _SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
+_ERR_SERVER = shlex.join([sys.executable, STUB, "err"])
 
 
 def test_evolve_writes_outputs(tmp_path, capsys):
@@ -28,6 +29,17 @@ def test_evolve_writes_outputs(tmp_path, capsys):
     log = (tmp_path / "run" / "log.txt").read_text().splitlines()
     assert log[0].startswith("generation 0 evals 1 best ")
     assert len(log) == 3  # init + 2 generations
+    # every line is `generation g evals 1+lambda*g best f`, f printed by
+    # str (so it round-trips) and never falling; the last f is the best
+    # evolve prints
+    fits = []
+    for g, line in enumerate(log):
+        head, f = line.rsplit(" ", 1)
+        assert head == f"generation {g} evals {1 + 2 * g} best"
+        assert repr(float(f)) == f
+        fits.append(float(f))
+    assert fits == sorted(fits)
+    assert out.split()[1] == f
     best = persist.load_genome(tmp_path / "run" / "best.cgp")
     assert best.C == 10
     seed = int((tmp_path / "run" / "best.seed").read_text())
@@ -100,13 +112,24 @@ def test_bad_env_leaves_existing_run_alone(tmp_path, capsys):
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     assert before["log.txt"]
     # an env typo used to truncate the previous run's log.txt, and so did
-    # a server command shlex cannot split, as exit 3
-    for bad_keys, flags in (("", ["--env", "ctach"]),
-                            ('env = ale:pong\nale_server = "x\n', [])):
+    # a server command shlex cannot split, as exit 3, and a server that is
+    # missing or rejects the handshake
+    for bad_keys, flags, code in (
+            ("", ["--env", "ctach"], cli.EXIT_CONFIG),
+            ('env = ale:pong\nale_server = "x\n', [], cli.EXIT_CONFIG),
+            ("env = ale:pong\nale_server = /no/such/server\n", [],
+             cli.EXIT_ENV),
+            (f"env = ale:pong\nale_server = {_ERR_SERVER}\n", [],
+             cli.EXIT_ENV)):
         cfg.write_text(_SMALL_RUN + bad_keys)
         assert cli.main(["evolve", "--config", str(cfg), "--out", str(run),
-                         *flags]) == cli.EXIT_CONFIG
+                         *flags]) == code
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    # the same run again replaces its log.txt, not appends to it
+    cfg.write_text(_SMALL_RUN)
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_OK
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 @pytest.mark.parametrize("file_keys, flags", [

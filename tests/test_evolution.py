@@ -1,9 +1,11 @@
 import os
 import shlex
+import subprocess
 import sys
 
 import numpy as np
 
+import pixelcgp
 from pixelcgp.envs import N_INPUT_PLANES, register_env
 from pixelcgp.evolution import (RunConfig, eval_seed_for, evaluate, mutate,
                                 run_evolution)
@@ -56,9 +58,9 @@ def test_eval_seed_for_is_stable_and_distinct():
 
 def test_elite_seed_reproduces_logged_fitness():
     cfg = RunConfig(c=15, lam=5, n_eval=20, seed=4)
-    elite, state = run_evolution(cfg)
+    state = run_evolution(cfg)
     from pixelcgp.envs import Catch
-    replay = evaluate(elite, Catch(), cfg.episodes, state.elite_seed,
+    replay = evaluate(state.elite, Catch(), cfg.episodes, state.elite_seed,
                       p_fskip=cfg.p_fskip, frame_cap=cfg.frame_cap)
     assert replay == state.elite_fitness
 
@@ -96,8 +98,9 @@ class _CountEnv:
 def test_elite_fitness_is_monotone():
     register_env("count", _CountEnv)
     cfg = RunConfig(env="count", c=10, lam=4, n_eval=40, p_fskip=0.0, seed=5)
-    _, state = run_evolution(cfg)
-    fits = [rec.best_fitness for rec in state.log]
+    lines = []
+    state = run_evolution(cfg, log_fn=lines.append)
+    fits = [float(line.split()[-1]) for line in lines]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
     assert state.evaluations_used == 1 + 4 * cfg.generations
 
@@ -112,14 +115,15 @@ def test_neutral_drift_replaces_elite_on_ties():
     # every genome scores 0, so the elite genome must still change
     register_env("flat", _FlatEnv)
     cfg = RunConfig(env="flat", c=10, lam=4, n_eval=20, p_fskip=0.0, seed=6)
-    elite, state = run_evolution(cfg)
+    lines = []
+    state = run_evolution(cfg, log_fn=lines.append)
     assert state.elite_fitness == 0.0
-    first = state.log[0].best_fitness
+    first = float(lines[0].split()[-1])
     assert first == 0.0
     rng = np.random.default_rng(cfg.seed)
     initial = random_genome(N_INPUT_PLANES, _FlatEnv.n_actions, cfg.c, cfg.r,
                             rng)
-    assert not np.array_equal(elite.genes, initial.genes)
+    assert not np.array_equal(state.elite.genes, initial.genes)
 
 
 def test_serial_and_parallel_logs_match():
@@ -175,3 +179,16 @@ def test_ale_serial_and_parallel_logs_match(tmp_path):
     # the parent's and at most one per worker, not one per evaluation
     assert starts[1] == 9 + 1
     assert starts[2] <= 9 + 1 + 2
+
+
+def test_evolution_does_not_load_the_pool():
+    # only a run with workers > 1 needs multiprocessing; the CLI, replay,
+    # export-dot and a serial run leave it unloaded
+    src = os.path.dirname(os.path.dirname(pixelcgp.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pixelcgp.evolution; print('multiprocessing' in "
+         "sys.modules, 'concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert out == "False False\n"
