@@ -13,8 +13,9 @@ The wire protocol is line-framed requests with mixed text/binary replies:
 
 Requests and replies strictly alternate. Any malformed reply, short read or
 server exit raises BridgeError; a violation never degrades into a silent
-zero observation. The handshake's screen is at least 1x1, and its frame at
-most MAX_FRAME_BYTES. A step's reward is finite, and its done flag 0 or 1.
+zero observation. A reply line is at most MAX_LINE_BYTES long. The
+handshake's screen is at least 1x1, and its frame at most MAX_FRAME_BYTES.
+A step's reward is finite, and its done flag 0 or 1.
 
 The evolved program sees only the game's legal action subset: local output
 index i maps to the i-th entry of the handshake's action list, which indexes
@@ -44,6 +45,9 @@ NOOP = 0
 # largest frame a handshake may announce (3 * width * height bytes): every
 # ACT reply reads a whole frame with one read(n), which allocates n up front
 MAX_FRAME_BYTES = 1 << 24
+# longest reply line read; the longest legal one, the handshake's
+# "OK <w> <h> 18 <a1> ... <a18>", is under 100 bytes
+MAX_LINE_BYTES = 4096
 
 
 class BridgeError(Exception):
@@ -74,8 +78,11 @@ class BridgeSession:
             raise BridgeError(f"server pipe closed while sending {line!r}") from exc
 
     def _recv_line(self) -> str:
-        raw = self.proc.stdout.readline()
+        raw = self.proc.stdout.readline(MAX_LINE_BYTES)
         if not raw.endswith(b"\n"):
+            if len(raw) == MAX_LINE_BYTES:
+                raise BridgeError(
+                    f"reply line longer than {MAX_LINE_BYTES} bytes")
             raise BridgeError("server closed the stream mid-reply")
         return raw.decode("ascii", errors="replace").strip()
 

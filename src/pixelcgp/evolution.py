@@ -179,8 +179,14 @@ _worker = None   # (config, env) of a pool worker process, set by _init_worker
 
 
 def _init_worker(config: RunConfig) -> None:
+    # a pool worker leaves by os._exit, which skips atexit but not
+    # multiprocessing's finalizers, so one of those closes its env
+    from multiprocessing.util import Finalize
     global _worker
-    _worker = (config, config.make_env())
+    env = config.make_env()
+    _worker = (config, env)
+    if hasattr(env, "close"):
+        Finalize(None, env.close, exitpriority=0)
 
 
 def _score_in_worker(genome: Genome, seed: int) -> float:

@@ -358,11 +358,11 @@ def _avg_differences(x, y, p):
 
 def _rotate(x, y, p):
     k = math.floor(p * x.size)
-    return np.roll(x.reshape(-1), k).reshape(x.shape)
+    return np.roll(x, k)
 
 
 def _reverse(x, y, p):
-    return x.reshape(-1)[::-1].reshape(x.shape)
+    return x[::-1, ::-1]
 
 
 # Concatenation is the one function that can grow state without bound
@@ -578,10 +578,10 @@ def function_from_gene(f_gene: float) -> FunctionSpec:
 def apply(spec: FunctionSpec, x: Value, y: Value, p: float) -> Value:
     """Evaluate a node function: constrain(p * f(x, y, p)), never raising.
 
-    x and y are never mutated. A matrix result is an array apply allocated
-    itself: the kernel's fresh output, scaled (and, unless spec.closed,
-    clamped) in place, or one new array when the kernel returned a view of
-    an operand.
+    x and y are never mutated. A matrix result is an array of its own that
+    apply allocated: the kernel's fresh output, scaled (and, unless
+    spec.closed, clamped) in place, or one new array when the kernel
+    returned an operand or a view.
     """
     if spec.needs_matrix and not isinstance(x, np.ndarray):
         raw = x  # wire: scalar passes through (the p weight still applies)

@@ -7,7 +7,7 @@ Genome files are two text lines:
 
 Genes are printed with 17 significant digits so parse(serialize(g)) is
 bit-exact. Config files are flat ``key = value`` lines; blank lines and
-``#`` comments are ignored and unknown keys are rejected.
+``#`` comments are ignored, and unknown or repeated keys are rejected.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ _PARSERS = {"int": int, "float": float, "str": str}
 def parse_config(text: str, overrides=None) -> RunConfig:
     """The config in text, with overrides (field name -> value) replacing
     the file's values before the one RunConfig check."""
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,6 +82,10 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise FormatError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise FormatError(
+                f"lines {seen[key]} and {lineno}: key {key!r} given twice")
+        seen[key] = lineno
         f = _FIELDS[key]
         try:
             values[f.name] = _PARSERS[f.type](value)

@@ -9,7 +9,8 @@ Values are treated as immutable: no function in this package mutates a
 matrix it received or handed out. Writes go only into arrays allocated in
 the same functions.apply call: the kernels' out= targets, the row _push
 fills, and a raw result that constrain_product scales in place only when
-it shares no memory with the operands.
+it owns its memory and is neither operand. So every matrix node output is
+an array of its own, never a view.
 
 Importing this module sets glibc's malloc thresholds for the whole process,
 once. Node evaluation allocates fresh 210x160 planes (269 KB), capped PUSH
@@ -78,14 +79,10 @@ def constrain_product(p: float, raw: Value, x: Value, y: Value,
     """constrain(p * raw) without mutating the operands x and y.
 
     x and y are the values raw was computed from (None stands for no
-    operand). A matrix raw that shares no memory with either is a temporary
-    handed over by the caller: it is scaled (and clamped) in place and
-    returned. Otherwise the product goes into one fresh array.
-
-    An array that owns its memory and is neither x nor y was not taken from
-    them (raw is only ever fresh, an operand, or a view of one), so only
-    views are checked with np.may_share_memory, a call that costs about as
-    much as a 12x12 ufunc.
+    operand). A matrix raw that owns its memory (raw.base is None) and is
+    neither x nor y is a temporary handed over by the caller: it is scaled
+    (and clamped) in place and returned. Any other matrix raw, an operand or
+    a view of anything, goes into one new array, which owns its memory too.
 
     closed says that a matrix raw is already finite and in [-1, 1]. Then so
     is p * raw, as |p| <= 1 and rounding is monotone, and the clamp would
@@ -94,18 +91,13 @@ def constrain_product(p: float, raw: Value, x: Value, y: Value,
     the clamp would turn inf finite. A scalar raw is clamped either way.
     """
     if isinstance(raw, np.ndarray):
-        if raw.base is None:
-            shared = raw is x or raw is y
-        else:
-            shared = ((isinstance(x, np.ndarray) and np.may_share_memory(raw, x))
-                      or (isinstance(y, np.ndarray)
-                          and np.may_share_memory(raw, y)))
+        own = raw.base is None and raw is not x and raw is not y
         if closed:
-            return p * raw if shared else np.multiply(p, raw, out=raw)
+            return np.multiply(p, raw, out=raw if own else None)
         # p = 0 times an inf element is NaN, zeroed below like any other;
         # errstate costs about a 12x12 multiply, so closed raws skip it
         with np.errstate(invalid="ignore"):
-            out = p * raw if shared else np.multiply(p, raw, out=raw)
+            out = np.multiply(p, raw, out=raw if own else None)
         out[~np.isfinite(out)] = 0.0
         # the method form: np.clip adds microseconds of Python dispatch,
         # which small (12x12) matrices notice

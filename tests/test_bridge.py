@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pixelcgp.bridge import (ACTION_TABLE, AleBridgeEnv, BridgeError,
-                             BridgeSession, NOOP)
+                             BridgeSession, MAX_LINE_BYTES, NOOP)
 from pixelcgp.evolution import RunConfig
 
 STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
@@ -47,6 +48,18 @@ def test_handshake_rejection():
 def test_handshake_screen_size_bounded(mode):
     # a 0x0 screen gave empty planes; a negative or huge one reached read()
     with pytest.raises(BridgeError, match="screen size"):
+        BridgeSession(_cmd(mode), "pong")
+
+
+@pytest.mark.parametrize("mode, match", [
+    ("badnum", "malformed handshake reply"),
+    ("badcount", "action list mismatch"),
+    ("badaction", "action id out of range"),
+    # the reply used to be read whole, however long, before any check
+    ("longline", f"longer than {MAX_LINE_BYTES} bytes"),
+])
+def test_malformed_handshake(mode, match):
+    with pytest.raises(BridgeError, match=match):
         BridgeSession(_cmd(mode), "pong")
 
 
@@ -96,6 +109,7 @@ def test_malformed_step_reply():
 
 
 @pytest.mark.parametrize("mode, match", [("nanreward", "non-finite reward"),
+                                         ("textreward", "malformed step reply"),
                                          ("baddone", "malformed step reply")])
 def test_bad_reward_or_done_flag(mode, match):
     # a NaN reward used to become the run's fitness, and any integer its done
@@ -111,6 +125,25 @@ def test_short_frame_read():
     s = BridgeSession(_cmd("short"), "pong")
     try:
         with pytest.raises(BridgeError, match="short frame"):
+            s.act(0)
+    finally:
+        s.close()
+
+
+def test_step_reply_cut_off_mid_line():
+    s = BridgeSession(_cmd("cutline"), "pong")
+    try:
+        with pytest.raises(BridgeError, match="mid-reply"):
+            s.act(0)
+    finally:
+        s.close()
+
+
+def test_request_after_server_exit():
+    s = BridgeSession(_cmd("quit"), "pong")
+    try:
+        s.proc.wait(timeout=10)
+        with pytest.raises(BridgeError, match="pipe closed"):
             s.act(0)
     finally:
         s.close()
@@ -147,6 +180,18 @@ def test_env_adapter_fresh_session_per_reset():
         first = env.session.proc.pid
         env.reset()
         assert env.session.proc.pid != first
+    finally:
+        env.close()
+
+
+def test_env_rejects_changed_action_list(tmp_path):
+    # the server offers three actions at its first start, two after that
+    state = shlex.quote(str(tmp_path / "started"))
+    env = AleBridgeEnv(f"{_cmd('shrink')} {state}", "pong")
+    try:
+        assert env.n_actions == 3
+        with pytest.raises(BridgeError, match="action list changed"):
+            env.reset()
     finally:
         env.close()
 

@@ -338,6 +338,10 @@ _ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
         ["replay", "{tmp}/g.cgp", "--config", ""],
         {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n"},
         cli.EXIT_CONFIG, id="replay-empty-config"),
+    pytest.param(
+        ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"],
+        {"run.cfg": "seed = 1\nseed = 2\n"},
+        cli.EXIT_CONFIG, id="evolve-repeated-key"),
     # an overridden file value must still parse
     pytest.param(
         ["evolve", "--config", "{tmp}/run.cfg", "--seed", "3", "--out",

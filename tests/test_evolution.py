@@ -1,5 +1,6 @@
 import os
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -155,10 +156,10 @@ def test_serial_run_closes_its_env():
     assert len(closed) == 1
 
 
-def _counting_server(path) -> str:
-    """Stub server command that appends a line to path on every start."""
-    stub = shlex.join([sys.executable, STUB, "ok"])
-    return shlex.join(["sh", "-c", f"echo >> {shlex.quote(str(path))}; "
+def _counting_server(path, mode="ok") -> str:
+    """Stub server command that appends its PID to path on every start."""
+    stub = shlex.join([sys.executable, STUB, mode])
+    return shlex.join(["sh", "-c", f"echo $$ >> {shlex.quote(str(path))}; "
                                    f"exec {stub}"])
 
 
@@ -179,6 +180,32 @@ def test_ale_serial_and_parallel_logs_match(tmp_path):
     # the parent's and at most one per worker, not one per evaluation
     assert starts[1] == 9 + 1
     assert starts[2] <= 9 + 1 + 2
+
+
+def _running(pid) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_pool_workers_close_their_envs(tmp_path):
+    # a worker exits by os._exit, which skipped the env's close: the server
+    # of its last episode outlived it
+    pids = tmp_path / "pids"
+    cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
+                    ale_server=_counting_server(pids, "linger"))
+    try:
+        run_evolution(cfg, workers=2)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) >= 9 + 1
+        assert not any(map(_running, started))
+    finally:
+        if pids.exists():
+            for pid in map(int, pids.read_text().split()):
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def test_evolution_does_not_load_the_pool():

@@ -220,7 +220,8 @@ _IMMUTABILITY_KINDS = ["scalar", "m12", "m210", "m160", "row"]
 @pytest.mark.parametrize("spec", FUNCTIONS, ids=lambda s: s.name)
 def test_apply_leaves_operands_unchanged(spec):
     """apply scales and clamps kernel results in place; operands, including
-    an operand passed as both x and y, must never be written."""
+    an operand passed as both x and y, must never be written, and a matrix
+    result must own its memory."""
     ops = _large_operands(np.random.default_rng(300 + spec.id))
     pairs = [(a, b) for a in _IMMUTABILITY_KINDS for b in _IMMUTABILITY_KINDS]
     pairs += [("m210", "same"), ("row", "same")]
@@ -235,6 +236,8 @@ def test_apply_leaves_operands_unchanged(spec):
         assert after == before, f"{spec.name} mutated an operand ({xk},{yk})"
         if isinstance(out, np.ndarray):
             assert out.dtype == np.float64
+            assert out.base is None, (
+                f"{spec.name} result does not own its memory ({xk},{yk})")
             for v in (x, y):
                 if isinstance(v, np.ndarray):
                     assert not np.may_share_memory(out, v), (

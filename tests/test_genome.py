@@ -128,6 +128,12 @@ def test_reset_zeroes_state():
     assert prog.state == [0.0, 0.0]
 
 
+def test_step_rejects_wrong_input_count():
+    prog = Program(1, 2, [1], [(1, FUNCTIONS_BY_NAME["ADD"], 0, 1, 1.0)])
+    with pytest.raises(ValueError, match="expected 1 inputs, got 2"):
+        prog.step([1.0, 0.5])
+
+
 def test_ywire_traces_only_y():
     genes = np.zeros(1 + 4)
     N = 4

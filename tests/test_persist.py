@@ -30,8 +30,8 @@ def test_genome_format_errors():
         parse_genome("not a genome\n")
     with pytest.raises(FormatError):
         parse_genome("CGP1 3 3 40 0.1\n0.5 0.5\n")     # wrong gene count
-    with pytest.raises(FormatError):
-        parse_genome("CGP2 1 1 0 0\n\n")               # bad magic
+    with pytest.raises(FormatError, match="bad genome header"):
+        parse_genome("CGP2 1 1 0 0\n0.5\n")            # bad magic
     with pytest.raises(FormatError):
         parse_genome("CGP1 1 1 1 0.0\n0.1 0.2 0.3 0.x 0.5\n")
 
@@ -72,6 +72,14 @@ def test_config_unknown_key():
     # a ROM directory goes at the end of the ale_server command
     with pytest.raises(FormatError, match="unknown key"):
         parse_config("rom_dir = /roms\n")
+
+
+def test_config_repeated_key():
+    # the last value used to win silently
+    with pytest.raises(FormatError, match="lines 1 and 3: key 'seed'"):
+        parse_config("seed = 1\nc = 12\nseed = 2\n")
+    with pytest.raises(FormatError, match="key 'lambda' given twice"):
+        parse_config("lambda = 4\n# lambda = 5\nlambda = 4\n")
 
 
 def test_config_overrides_replace_file_values():
