@@ -9,7 +9,8 @@ The wire protocol is line-framed requests with mixed text/binary replies:
     -> ACT <global action id>\n
     <- R <reward> <done 0|1>\n
        followed by 3*width*height raw bytes: red, green, blue planes,
-       row-major, one byte per pixel (scaled by 1/255 on this side).
+       row-major, one byte per pixel (scaled by 1/255 on this side, a
+       plane at a time when the program first reads it).
 
 Requests and replies strictly alternate. Any malformed reply, short read or
 server exit raises BridgeError; a violation never degrades into a silent
@@ -20,6 +21,9 @@ A step's reward is finite, and its done flag 0 or 1.
 The evolved program sees only the game's legal action subset: local output
 index i maps to the i-th entry of the handshake's action list, which indexes
 the full 18-action controller table.
+
+AleBridgeEnv starts exactly one server per episode; no server is started
+only to learn the action count (the first episode's session answers it).
 """
 
 from __future__ import annotations
@@ -127,9 +131,9 @@ class BridgeSession:
             raise BridgeError(f"non-finite reward in step reply: {reply}")
         done = reply[2] == "1"
         raw = self._recv_exact(3 * self.width * self.height)
-        planes = np.frombuffer(raw, dtype=np.uint8).reshape(
-            3, self.height, self.width) / 255.0
-        return Observation(*planes), reward, done
+        frame = np.frombuffer(raw, dtype=np.uint8).reshape(
+            3, self.height, self.width)
+        return Observation.from_frame(frame), reward, done
 
     def close(self) -> None:
         if self.proc.poll() is None:
@@ -147,29 +151,44 @@ class BridgeSession:
 
 
 class AleBridgeEnv:
-    """Environment adapter: one bridge session per episode.
+    """Environment adapter: one bridge session, one server process, per
+    episode. Building the env starts nothing.
 
-    reset() starts a fresh server process and, after the handshake, fetches
-    the first frame with a no-op action so the controller has an observation
-    before its first decision.
+    The first session starts when n_actions or reset() first needs it. Its
+    handshake fixes legal_actions, and it then serves the first episode.
+    Every later reset() starts a fresh session, whose action list must
+    equal legal_actions, and fetches the first frame with a no-op action so
+    the controller has an observation before its first decision.
     """
 
     def __init__(self, server_cmd: str, rom: str):
         self.server_cmd = server_cmd
         self.rom = rom
         self.session: BridgeSession | None = None
+        self.legal_actions: list[int] | None = None
         self.done = True
-        # one throwaway session to learn the action count up front
-        probe = BridgeSession(server_cmd, rom)
-        self.n_actions = len(probe.legal_actions)
-        probe.close()
+        self.unplayed = False   # session is open and has served no episode
+
+    @property
+    def n_actions(self) -> int:
+        if self.legal_actions is None:
+            self._start()
+        return len(self.legal_actions)
+
+    def _start(self) -> None:
+        self.close()
+        self.session = BridgeSession(self.server_cmd, self.rom)
+        if self.legal_actions is None:
+            self.legal_actions = self.session.legal_actions
+        elif self.session.legal_actions != self.legal_actions:
+            raise BridgeError("legal action list changed between sessions")
+        self.unplayed = True
 
     def reset(self, seed=None) -> Observation:
         # seed accepted for contract compatibility; the emulator owns its RNG
-        self.close()
-        self.session = BridgeSession(self.server_cmd, self.rom)
-        if len(self.session.legal_actions) != self.n_actions:
-            raise BridgeError("legal action list changed between sessions")
+        if not self.unplayed:
+            self._start()
+        self.unplayed = False
         obs, _, self.done = self.session.act(NOOP)
         return obs
 
@@ -178,11 +197,12 @@ class AleBridgeEnv:
             raise BridgeError("step without an open episode")
         if not 0 <= action < self.n_actions:
             raise BridgeError(f"local action {action} out of range")
-        obs, reward, done = self.session.act(self.session.legal_actions[action])
+        obs, reward, done = self.session.act(self.legal_actions[action])
         self.done = done
         return obs, reward, done
 
     def close(self) -> None:
+        self.done, self.unplayed = True, False
         if self.session is not None:
             self.session.close()
             self.session = None

@@ -5,14 +5,18 @@ step(action) -> (Observation, reward, done). Observations are three
 rows x cols pixel planes (red, green, blue) with elements in [0, 1], which
 feed straight into the [-1, 1] program domain without further scaling.
 
+Planes cost only what the program reads. run_episode hands the Observation
+itself to Program.step, which loads only the inputs in Program.reads; an
+observation built from a raw 8-bit frame (Observation.from_frame, as the
+emulator bridge does) converts a plane on its first read. The observation
+of a frame before a skipped one is never read, so it converts nothing.
+
 Catch is a deterministic 12x12 toy: a ball falls one row per frame and a
 three-cell paddle slides along the bottom row. It exists so that evolution
 and the interpreter can be exercised end to end in microsecond episodes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +27,45 @@ class EnvironmentError_(Exception):
     """Raised on contract violations such as stepping a finished episode."""
 
 
-@dataclass(frozen=True)
+N_INPUT_PLANES = 3
+
+
 class Observation:
-    red: np.ndarray
-    green: np.ndarray
-    blue: np.ndarray
+    """One frame's planes; obs[i] is plane i (0 red, 1 green, 2 blue)."""
+
+    __slots__ = ("_planes", "_frame")
+
+    def __init__(self, red: np.ndarray, green: np.ndarray, blue: np.ndarray):
+        self._planes = [red, green, blue]
+        self._frame = None
+
+    @classmethod
+    def from_frame(cls, frame: np.ndarray) -> "Observation":
+        """Observation of a (3, rows, cols) uint8 frame. Plane i is made as
+        frame[i] / 255.0 when first read, bit for bit the plane a scaling of
+        the whole frame gives."""
+        obs = cls(None, None, None)
+        obs._frame = frame
+        return obs
+
+    def __len__(self) -> int:
+        return N_INPUT_PLANES
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        plane = self._planes[i]
+        if plane is None:
+            plane = self._planes[i] = self._frame[i] / 255.0
+        return plane
+
+    red = property(lambda self: self[0])
+    green = property(lambda self: self[1])
+    blue = property(lambda self: self[2])
 
     @property
     def planes(self) -> list[np.ndarray]:
-        return [self.red, self.green, self.blue]
+        return [self[0], self[1], self[2]]
 
 
-N_INPUT_PLANES = 3
 DEFAULT_FRAME_CAP = 18000
 
 
@@ -162,7 +193,7 @@ def run_episode(program: Program, env, eval_seed: int, episode: int = 0, *,
         current = obs
 
         def act():
-            return select_action(program.step(current.planes))
+            return select_action(program.step(current))
 
         obs, reward, done, skipped = skip.step(act)
         total += reward

@@ -357,8 +357,16 @@ def _avg_differences(x, y, p):
 
 
 def _rotate(x, y, p):
-    k = math.floor(p * x.size)
-    return np.roll(x, k)
+    """np.roll(x, floor(p * size)) into one array of its own: np.roll's
+    result is a reshaped view, which apply would copy once more."""
+    flat = x.reshape(-1)
+    n = flat.size
+    k = math.floor(p * n) % n
+    out = np.empty(x.shape)
+    dst = out.reshape(-1)
+    dst[k:] = flat[: n - k]
+    dst[:k] = flat[n - k :]
+    return out
 
 
 def _reverse(x, y, p):

@@ -95,27 +95,39 @@ def connection_index(gene: float, n: int, N: int, r: float) -> int:
 class Program:
     """Decoded phenotype. The plan is the program: one entry
     (node index, spec, x index, y index, p) per active node, in ascending
-    node order. Inactive nodes are neither decoded nor run."""
+    node order. Inactive nodes are neither decoded nor run.
+
+    reads lists the inputs step loads: every input the plan hands to apply
+    as x or y, whether or not the function looks at it, and every input an
+    output addresses. Any other input is never seen, so it keeps its reset
+    value and its observation plane is never asked for."""
 
     n_input: int
     n_nodes: int               # state size: inputs plus program nodes
     outputs: list[int]         # node indices, one per action
     plan: list[tuple[int, fns.FunctionSpec, int, int, float]]
     state: list[Value] = field(init=False)
+    reads: list[int] = field(init=False)
 
     def __post_init__(self):
+        operands = {i for _, _, xi, yi, _ in self.plan for i in (xi, yi)}
+        self.reads = sorted(i for i in operands.union(self.outputs)
+                            if i < self.n_input)
         self.reset()
 
     def reset(self) -> None:
         """Zero every node state (fresh-episode condition)."""
         self.state = [0.0] * self.n_nodes
 
-    def step(self, inputs: list[Value]) -> list[Value]:
-        """One synchronous pass: load inputs, update active nodes in order."""
+    def step(self, inputs) -> list[Value]:
+        """One synchronous pass: load the inputs in reads, update active
+        nodes in order. inputs is any sequence of n_input values, such as
+        an envs.Observation; only its entries in reads are indexed."""
         if len(inputs) != self.n_input:
             raise ValueError(f"expected {self.n_input} inputs, got {len(inputs)}")
         state = self.state
-        state[: self.n_input] = inputs
+        for i in self.reads:
+            state[i] = inputs[i]
         apply = fns.apply
         for n, spec, xi, yi, p in self.plan:
             state[n] = apply(spec, state[xi], state[yi], p)

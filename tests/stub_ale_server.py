@@ -1,9 +1,9 @@
 """Minimal emulator-protocol stub used by the bridge tests.
 
 Speaks the line-framed INIT/ACT protocol on stdin/stdout. The first
-argument selects a behavior. The shrink mode reads a second argument, a
-state file; any other later arguments, such as the ROM directory a real
-server's command would end with, are ignored.
+argument selects a behavior. The shrink and reorder modes read a second
+argument, a state file; any other later arguments, such as the ROM
+directory a real server's command would end with, are ignored.
 
 Modes:
   ok       4x3 screen, legal actions 0/3/4, episode ends after 3 ACTs
@@ -19,6 +19,8 @@ Modes:
   quit     exit right after the handshake
   shrink   create the state file and offer actions 0/3/4 if it is missing;
            offer 0/3 if it exists
+  reorder  as shrink, but offer 0/4/3 if the state file exists
+  long     as ok, but the episode ends after 40 ACTs
   badline  reply garbage to ACT
   nanreward reply to ACT with a NaN reward, then a whole frame
   textreward reply to ACT with a reward that is not a number
@@ -38,9 +40,9 @@ def main():
     width, height = {"empty": (0, 0), "negative": (-4, 3),
                      "huge": (60000, 60000)}.get(mode, (4, 3))
     actions = {"badaction": [0, 3, 18]}.get(mode, [0, 3, 4])
-    if mode == "shrink":
+    if mode in ("shrink", "reorder"):
         if os.path.exists(sys.argv[2]):
-            actions = [0, 3]
+            actions = [0, 3] if mode == "shrink" else [0, 4, 3]
         else:
             open(sys.argv[2], "w").close()
     steps = 0
@@ -72,7 +74,8 @@ def main():
             steps += 1
             reward = {"nanreward": "nan", "textreward": "lots"}.get(
                 mode, f"{action}.5")
-            done = 2 if mode == "baddone" else int(steps >= 3)
+            done = 2 if mode == "baddone" else int(
+                steps >= (40 if mode == "long" else 3))
             out.write(f"R {reward} {done}\n".encode())
             if mode == "short":
                 out.write(bytes(5))

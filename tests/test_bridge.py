@@ -6,9 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from pixelcgp import envs
 from pixelcgp.bridge import (ACTION_TABLE, AleBridgeEnv, BridgeError,
                              BridgeSession, MAX_LINE_BYTES, NOOP)
+from pixelcgp.envs import Observation, run_episode
 from pixelcgp.evolution import RunConfig
+from pixelcgp.functions import FUNCTIONS_BY_NAME
+from pixelcgp.genome import Program
 
 STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
 
@@ -89,14 +93,34 @@ def test_failed_handshake_releases_its_server(monkeypatch, mode):
     assert len(started) == 1 and _released(started[0])
 
 
+def test_building_an_env_starts_no_server(monkeypatch):
+    started = _spy_on_servers(monkeypatch)
+    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env.close()
+    assert started == []
+
+
+def test_action_count_session_serves_the_first_episode(monkeypatch):
+    started = _spy_on_servers(monkeypatch)
+    env = AleBridgeEnv(_cmd("ok"), "pong")
+    try:
+        assert env.n_actions == 3
+        env.reset()
+        assert len(started) == 1
+        env.reset()
+        assert len(started) == 2
+    finally:
+        env.close()
+
+
 def test_env_releases_every_server(monkeypatch):
-    # the action-count probe and each episode's session
+    # one session per episode, and no action-count probe
     started = _spy_on_servers(monkeypatch)
     env = AleBridgeEnv(_cmd("ok"), "pong")
     env.reset()
     env.reset()
     env.close()
-    assert len(started) == 3 and all(map(_released, started))
+    assert len(started) == 2 and all(map(_released, started))
 
 
 def test_malformed_step_reply():
@@ -185,15 +209,87 @@ def test_env_adapter_fresh_session_per_reset():
 
 
 def test_env_rejects_changed_action_list(tmp_path):
-    # the server offers three actions at its first start, two after that
+    # the server offers three actions at its first start, two after that;
+    # the first session serves the first episode
     state = shlex.quote(str(tmp_path / "started"))
     env = AleBridgeEnv(f"{_cmd('shrink')} {state}", "pong")
     try:
         assert env.n_actions == 3
+        env.reset()
         with pytest.raises(BridgeError, match="action list changed"):
             env.reset()
     finally:
         env.close()
+
+
+def test_env_rejects_reordered_action_list(tmp_path):
+    # the same count in another order: local action 1 would have become
+    # global 4 (LEFT) in the second episode instead of 3 (RIGHT)
+    state = shlex.quote(str(tmp_path / "started"))
+    env = AleBridgeEnv(f"{_cmd('reorder')} {state}", "pong")
+    try:
+        env.reset()
+        with pytest.raises(BridgeError, match="action list changed"):
+            env.reset()
+        with pytest.raises(BridgeError, match="without an open episode"):
+            env.step(1)
+    finally:
+        env.close()
+
+
+class _FrameSpy:
+    """A raw frame that records which planes are taken from it."""
+
+    def __init__(self, frame):
+        self.frame, self.taken = frame, []
+
+    def __getitem__(self, i):
+        self.taken.append(i)
+        return self.frame[i]
+
+
+def test_unread_planes_are_never_converted():
+    frame = np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5)
+    spy = _FrameSpy(frame)
+    # node 3 = ADD(red, red): the program reads plane 0 only
+    prog = Program(3, 4, [3], [(3, FUNCTIONS_BY_NAME["ADD"], 0, 0, 1.0)])
+    assert prog.reads == [0]
+    obs = Observation.from_frame(spy)
+    prog.step(obs)
+    prog.step(obs)
+    assert spy.taken == [0]
+    # a plane made on first read is bit for bit the whole frame's scaling
+    assert all(map(np.array_equal, obs.planes, frame / 255.0))
+
+
+def test_skipped_frames_are_never_converted(monkeypatch):
+    # the observation before a skipped frame goes unread, and so does the
+    # last one; every other observation has all three planes read
+    frames, skipped = [], []
+    from_frame = Observation.from_frame.__func__
+    step = envs.FrameSkip.step
+
+    def spy_from_frame(cls, frame):
+        frames.append(_FrameSpy(frame))
+        return from_frame(cls, frames[-1])
+
+    def spy_step(self, action_fn):
+        result = step(self, action_fn)
+        skipped.append(result[3])
+        return result
+
+    monkeypatch.setattr(Observation, "from_frame", classmethod(spy_from_frame))
+    monkeypatch.setattr(envs.FrameSkip, "step", spy_step)
+    env = AleBridgeEnv(_cmd("long"), "pong")
+    try:
+        # no program nodes: the outputs are the three planes themselves
+        run_episode(Program(3, 3, [0, 1, 2], []), env, 5, p_fskip=0.5)
+    finally:
+        env.close()
+    assert len(frames) == len(skipped) + 1 == 40
+    assert any(skipped) and not all(skipped)
+    for spy, next_skipped in zip(frames, skipped + [True]):
+        assert spy.taken == ([] if next_skipped else [0, 1, 2])
 
 
 def test_make_env_ale_route():

@@ -84,6 +84,23 @@ def test_reverse():
     assert np.array_equal(out, [[0.4, 0.3], [0.2, 0.1]])
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (12, 12), (210, 160)])
+def test_rotate_rolls_into_one_array_of_its_own(shape):
+    x = np.random.default_rng(3).uniform(-1, 1, shape)
+    n = x.size
+    # p for each shift k = floor(p * n): the ends, and half a step past
+    # the neighbours of 0 so no rounding moves k
+    for k, p in ((-n, -1.0), (-1, -0.5 / n), (0, 0.0), (1, 1.5 / n),
+                 (n, 1.0)):
+        assert math.floor(p * n) == k
+        out = _f("ROTATE").impl(x, 0.0, p)
+        assert out.base is None and out.shape == shape
+        assert np.array_equal(out, np.roll(x, k))
+    # a view operand rolls in its logical order, as np.roll does
+    assert np.array_equal(_f("ROTATE").impl(x.T, 0.0, 1.5 / n),
+                          np.roll(x.T, 1))
+
+
 def test_split_and_index():
     m = matrix([[0.1, 0.2, 0.3, 0.4]])
     # raw formula first (p = 0 -> position 0.5 -> index 2)

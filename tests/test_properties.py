@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import oracle
 from pixelcgp import functions
 from pixelcgp.functions import FUNCTIONS, apply
 from pixelcgp.genome import connection_index, decode, random_genome
@@ -87,6 +88,45 @@ def test_decode_connections_stay_in_graph(seed, C, r):
         assert -1.0 <= p < 1.0
         if r == 0.0:
             assert xi < n and yi < n
+
+
+class _Guarded:
+    """Inputs whose entries outside `allowed` raise when indexed."""
+
+    def __init__(self, values, allowed):
+        self.values, self.allowed = values, set(allowed)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if i not in self.allowed:
+            raise AssertionError(f"input {i} indexed, but it is not read")
+        return self.values[i]
+
+
+def _step_loading_every_input(prog, inputs):
+    state = prog.state
+    state[: prog.n_input] = inputs
+    for n, spec, xi, yi, p in prog.plan:
+        state[n] = apply(spec, state[xi], state[yi], p)
+    return [state[i] for i in prog.outputs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 31), st.integers(1, 40),
+       st.sampled_from([0.0, 0.1, 1.0]))
+def test_step_indexes_only_the_inputs_it_reads(seed, C, r):
+    # unread inputs keep their reset value, and nothing can tell: several
+    # steps, so recurrent links read the previous step's values too
+    rng = np.random.default_rng(seed)
+    genome = random_genome(3, 3, C, r, rng)
+    lazy, full = decode(genome), decode(genome)
+    for _ in range(3):
+        planes = [rng.random((6, 5)) for _ in range(3)]
+        got = lazy.step(_Guarded(planes, lazy.reads))
+        want = _step_loading_every_input(full, planes)
+        assert all(map(oracle.same_value, got, want))
 
 
 @settings(deadline=None, max_examples=30)
