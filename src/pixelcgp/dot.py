@@ -1,13 +1,13 @@
 """DOT export of the active program graph.
 
-Only active nodes appear: referenced inputs as boxes, active program nodes
+Only active nodes appear: the inputs read as boxes, active program nodes
 with their function and parameter, and one box per action output. x-input
 edges are solid, y-input edges dashed. Output is byte-deterministic.
 """
 
 from __future__ import annotations
 
-from .genome import Genome, Program, decode, trace_active
+from .genome import Genome, Program, decode
 
 
 def export_dot(genome: Genome) -> str:
@@ -16,9 +16,8 @@ def export_dot(genome: Genome) -> str:
 
 def program_dot(program: Program) -> str:
     lines = ["digraph cgp {", "  rankdir=LR;"]
-    for n in sorted(trace_active(program)):
-        if n < program.n_input:
-            lines.append(f'  n{n} [shape=box, label="in{n}"];')
+    for n in program.reads:
+        lines.append(f'  n{n} [shape=box, label="in{n}"];')
     for n, spec, xi, yi, p in program.plan:
         lines.append(f'  n{n} [label="{n}:{spec.name} p={p:.2f}"];')
         if spec.trace_x:

@@ -6,10 +6,11 @@ rows x cols pixel planes (red, green, blue) with elements in [0, 1], which
 feed straight into the [-1, 1] program domain without further scaling.
 
 Planes cost only what the program reads. run_episode hands the Observation
-itself to Program.step, which loads only the inputs in Program.reads; an
-observation built from a raw 8-bit frame (Observation.from_frame, as the
-emulator bridge does) converts a plane on its first read. The observation
-of a frame before a skipped one is never read, so it converts nothing.
+itself to Program.step, which loads only the inputs in Program.reads: those
+an output addresses or a traced link reaches. An observation built from a
+raw 8-bit frame (Observation.from_frame, as the emulator bridge does)
+converts a plane on its first read, so a plane no traced link reaches is
+never converted, nor is the observation of a frame before a skipped one.
 
 Catch is a deterministic 12x12 toy: a ball falls one row per frame and a
 three-cell paddle slides along the bottom row. It exists so that evolution

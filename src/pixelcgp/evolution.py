@@ -213,16 +213,12 @@ def run_evolution(config: RunConfig, workers: int = 1,
             pool = ProcessPoolExecutor(workers, initializer=_init_worker,
                                        initargs=(config,))
 
-        def score(genomes: list[Genome], seeds: list[int]) -> list[float]:
-            if pool is None:
-                return [config.score(g, env, seed)
-                        for g, seed in zip(genomes, seeds)]
-            return list(pool.map(_score_in_worker, genomes, seeds))
-
         first = random_genome(envs.N_INPUT_PLANES, env.n_actions,
                               config.c, config.r, rng)
         seed = eval_seed_for(config.seed, 0, 0)
-        state = EvolutionState(first, score([first], [seed])[0], seed,
+        # scored here even with a pool: the session that answered n_actions
+        # then plays this episode
+        state = EvolutionState(first, config.score(first, env, seed), seed,
                                evaluations_used=1)
         if log_fn is not None:
             log_fn(state.line())
@@ -233,7 +229,11 @@ def run_evolution(config: RunConfig, workers: int = 1,
             ]
             seeds = [eval_seed_for(config.seed, gen, i)
                      for i in range(config.lam)]
-            fits = score(offspring, seeds)
+            if pool is None:
+                fits = [config.score(g, env, seed)
+                        for g, seed in zip(offspring, seeds)]
+            else:
+                fits = list(pool.map(_score_in_worker, offspring, seeds))
             state.evaluations_used += config.lam
             best_i = max(range(config.lam), key=lambda i: (fits[i], -i))
             if fits[best_i] >= state.elite_fitness:

@@ -97,10 +97,10 @@ class Program:
     (node index, spec, x index, y index, p) per active node, in ascending
     node order. Inactive nodes are neither decoded nor run.
 
-    reads lists the inputs step loads: every input the plan hands to apply
-    as x or y, whether or not the function looks at it, and every input an
-    output addresses. Any other input is never seen, so it keeps its reset
-    value and its observation plane is never asked for."""
+    reads lists the inputs step loads: the inputs in trace_active. An
+    operand its function does not trace cannot change the result (decode
+    relies on this too), so any other input keeps its reset value and its
+    observation plane is never asked for."""
 
     n_input: int
     n_nodes: int               # state size: inputs plus program nodes
@@ -110,9 +110,7 @@ class Program:
     reads: list[int] = field(init=False)
 
     def __post_init__(self):
-        operands = {i for _, _, xi, yi, _ in self.plan for i in (xi, yi)}
-        self.reads = sorted(i for i in operands.union(self.outputs)
-                            if i < self.n_input)
+        self.reads = sorted(i for i in trace_active(self) if i < self.n_input)
         self.reset()
 
     def reset(self) -> None:

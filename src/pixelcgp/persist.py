@@ -63,10 +63,10 @@ def load_genome(path) -> Genome:
 
 
 # config file key -> RunConfig field; the file spells lam "lambda", as
-# the dataclass field avoids the Python keyword
+# the dataclass field avoids the Python keyword. A value parses as the
+# type of its field's default: int, float or str.
 _FIELDS = {("lambda" if f.name == "lam" else f.name): f
            for f in fields(RunConfig)}
-_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def parse_config(text: str, overrides=None) -> RunConfig:
@@ -88,7 +88,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         seen[key] = lineno
         f = _FIELDS[key]
         try:
-            values[f.name] = _PARSERS[f.type](value)
+            values[f.name] = type(f.default)(value)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
     values.update(overrides or {})
@@ -102,7 +102,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key, f in _FIELDS.items():
         value = getattr(cfg, f.name)
-        if f.type == "float":
+        if isinstance(value, float):
             value = f"{value:.17g}"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -250,16 +250,18 @@ class _FrameSpy:
 
 def test_unread_planes_are_never_converted():
     frame = np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5)
-    spy = _FrameSpy(frame)
-    # node 3 = ADD(red, red): the program reads plane 0 only
-    prog = Program(3, 4, [3], [(3, FUNCTIONS_BY_NAME["ADD"], 0, 0, 1.0)])
-    assert prog.reads == [0]
-    obs = Observation.from_frame(spy)
-    prog.step(obs)
-    prog.step(obs)
-    assert spy.taken == [0]
-    # a plane made on first read is bit for bit the whole frame's scaling
-    assert all(map(np.array_equal, obs.planes, frame / 255.0))
+    # node 3 = ADD(red, red), or ABS(red) with its untraced y on green:
+    # either way the program reads plane 0 only
+    for name, yi in (("ADD", 0), ("ABS", 1)):
+        spy = _FrameSpy(frame)
+        prog = Program(3, 4, [3], [(3, FUNCTIONS_BY_NAME[name], 0, yi, 1.0)])
+        assert prog.reads == [0]
+        obs = Observation.from_frame(spy)
+        prog.step(obs)
+        prog.step(obs)
+        assert spy.taken == [0]
+        # a plane made on first read is bit for bit the whole frame's scaling
+        assert all(map(np.array_equal, obs.planes, frame / 255.0))
 
 
 def test_skipped_frames_are_never_converted(monkeypatch):

@@ -143,6 +143,18 @@ def test_ywire_traces_only_y():
     prog = decode(Genome(genes, 3, 1, 1, 0.0))
     assert [spec.name for _, spec, *_ in prog.plan] == ["YWIRE"]
     assert trace_active(prog) == {2, 3}
+    assert prog.reads == [2]
+
+
+def test_arity_one_node_does_not_read_its_y_input():
+    genes = np.zeros(1 + 4)
+    genes[0] = 3.5 / 4
+    # ABS with x -> in0, y -> in1: only x is traced
+    genes[1:5] = [0.5 / 3, 1.5 / 3, 5.5 / 53, 0.9]
+    prog = decode(Genome(genes, 3, 1, 1, 0.0))
+    assert [(spec.name, xi, yi) for _, spec, xi, yi, _ in prog.plan] == [
+        ("ABS", 0, 1)]
+    assert prog.reads == [0]
 
 
 def test_const_squares_its_parameter():
