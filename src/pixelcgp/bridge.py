@@ -52,6 +52,8 @@ MAX_FRAME_BYTES = 1 << 24
 # longest reply line read; the longest legal one, the handshake's
 # "OK <w> <h> 18 <a1> ... <a18>", is under 100 bytes
 MAX_LINE_BYTES = 4096
+# seconds a server gets to exit after SIGTERM before close() kills it
+TERM_GRACE_S = 5
 
 
 class BridgeError(Exception):
@@ -139,7 +141,7 @@ class BridgeSession:
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
-                self.proc.wait(timeout=5)
+                self.proc.wait(timeout=TERM_GRACE_S)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -123,12 +124,8 @@ def cmd_replay(args) -> int:
                 print(f"node {n} {spec.name} {scalar_of(prog.state[n])}")
 
     try:
-        env = cfg.make_env()
-        try:
+        with contextlib.closing(cfg.make_env()) as env:
             total = cfg.score(genome, env, cfg.seed, on_frame=on_frame)
-        finally:
-            if hasattr(env, "close"):
-                env.close()
     except evolution.GenomeMismatch as exc:
         print(f"genome error: {exc}", file=sys.stderr)
         return EXIT_GENOME

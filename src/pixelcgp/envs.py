@@ -1,9 +1,12 @@
 """Episodic environments: contract, frame-skip wrapper and the Catch game.
 
-An environment exposes n_actions, reset(seed) -> Observation and
-step(action) -> (Observation, reward, done). Observations are three
-rows x cols pixel planes (red, green, blue) with elements in [0, 1], which
-feed straight into the [-1, 1] program domain without further scaling.
+An environment exposes n_actions, reset(seed) -> Observation,
+step(action) -> (Observation, reward, done) and close(). Observations are
+three rows x cols pixel planes (red, green, blue) with elements in [0, 1],
+which feed straight into the [-1, 1] program domain without further scaling.
+close() releases what the env holds, such as an emulator server; it may be
+called more than once, and a later reset() still works. Whoever builds an
+env closes it; nothing closes an env it was handed.
 
 Planes cost only what the program reads. run_episode hands the Observation
 itself to Program.step, which loads only the inputs in Program.reads: those
@@ -57,10 +60,6 @@ class Observation:
         if plane is None:
             plane = self._planes[i] = self._frame[i] / 255.0
         return plane
-
-    red = property(lambda self: self[0])
-    green = property(lambda self: self[1])
-    blue = property(lambda self: self[2])
 
     @property
     def planes(self) -> list[np.ndarray]:
@@ -128,6 +127,9 @@ class Catch:
         green[g - 1, self.paddle - 1 : self.paddle + 2] = 1.0
         return Observation(red, green, np.zeros((g, g)))
 
+    def close(self) -> None:
+        """Catch holds nothing to release."""
+
 
 class FrameSkip:
     """Random action-repeat wrapper.
@@ -190,12 +192,12 @@ def run_episode(program: Program, env, eval_seed: int, episode: int = 0, *,
     program.reset()
     total = 0.0
     done = False
+
+    def act():
+        # skip.step calls this before obs is rebound to its result
+        return select_action(program.step(obs))
+
     while not done and skip.counted_frames < frame_cap:
-        current = obs
-
-        def act():
-            return select_action(program.step(current))
-
         obs, reward, done, skipped = skip.step(act)
         total += reward
         if on_frame is not None and not skipped:

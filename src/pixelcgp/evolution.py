@@ -20,6 +20,7 @@ order, so serial and parallel runs log identically.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import shlex
@@ -185,8 +186,7 @@ def _init_worker(config: RunConfig) -> None:
     global _worker
     env = config.make_env()
     _worker = (config, env)
-    if hasattr(env, "close"):
-        Finalize(None, env.close, exitpriority=0)
+    Finalize(None, env.close, exitpriority=0)
 
 
 def _score_in_worker(genome: Genome, seed: int) -> float:
@@ -201,18 +201,12 @@ def run_evolution(config: RunConfig, workers: int = 1,
 
     The genome has one input per observation plane and one output per
     action of the config's environment. The env is built once here and,
-    with workers > 1, once in each worker process.
+    with workers > 1, once in each worker process; the parent's then
+    plays only generation 0 and is closed before the workers start.
     """
     rng = np.random.default_rng(config.seed)
-    env = config.make_env()
-    pool = None
-    try:
-        if workers > 1:
-            # only a pool loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(workers, initializer=_init_worker,
-                                       initargs=(config,))
-
+    with contextlib.ExitStack() as stack:
+        env = stack.enter_context(contextlib.closing(config.make_env()))
         first = random_genome(envs.N_INPUT_PLANES, env.n_actions,
                               config.c, config.r, rng)
         seed = eval_seed_for(config.seed, 0, 0)
@@ -222,6 +216,15 @@ def run_evolution(config: RunConfig, workers: int = 1,
                                evaluations_used=1)
         if log_fn is not None:
             log_fn(state.line())
+        pool = None
+        if workers > 1:
+            # the pool plays every later episode; closed first, this
+            # server's pipes are not copied into the forked workers
+            env.close()
+            # only a pool loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, initializer=_init_worker, initargs=(config,)))
         for gen in range(1, config.generations + 1):
             offspring = [
                 mutate(state.elite, config.m_nodes, config.m_output, rng)
@@ -243,8 +246,3 @@ def run_evolution(config: RunConfig, workers: int = 1,
             if log_fn is not None:
                 log_fn(state.line())
         return state
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if hasattr(env, "close"):
-            env.close()

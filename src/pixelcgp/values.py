@@ -13,14 +13,14 @@ it owns its memory and is neither operand. So every matrix node output is
 an array of its own, never a view.
 
 Importing this module sets glibc's malloc thresholds for the whole process,
-once. Node evaluation allocates fresh 210x160 planes (269 KB), capped PUSH
-rows (524 KB) and decoded RGB frames (806 KB) on every frame. By default
-glibc serves such blocks by mmap, or returns them to the system once the
-heap top holds more than its trim threshold, so their pages fault in again
-on most allocations. mallopt raises the mmap threshold to MMAP_THRESHOLD
-and the trim threshold to TRIM_THRESHOLD, so these arrays come from memory
-the process already holds. Where the C library has no working mallopt
-(macOS, Windows; musl's is a stub), nothing is set.
+once. Node evaluation and the bridge's plane conversion allocate fresh
+210x160 planes (269 KB) and capped PUSH rows (524 KB) on every frame. By
+default glibc serves such blocks by mmap, or returns them to the system
+once the heap top holds more than its trim threshold, so their pages fault
+in again on most allocations. mallopt raises the mmap threshold to
+MMAP_THRESHOLD and the trim threshold to TRIM_THRESHOLD, so these arrays
+come from memory the process already holds. Where the C library has no
+working mallopt (macOS, Windows; musl's is a stub), nothing is set.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import numpy as np
 Value = Union[float, np.ndarray]
 
 # glibc <malloc.h> parameter numbers, and the values set for them. The mmap
-# threshold lies above the largest per-frame array (806 KB). The trim
-# threshold is the least power of two at which the benchmark's pixel_eval
-# blocks stop faulting freed heap in again (glibc 2.36; the sweep is in
-# CHANGES.md). Heap freed up to TRIM_THRESHOLD stays resident.
+# threshold lies above the largest per-frame array (a 524 KB PUSH row). The
+# trim threshold is the least power of two at which the benchmark's
+# pixel_eval blocks stop faulting freed heap in again (glibc 2.36; the sweep
+# is in CHANGES.md). Heap freed up to TRIM_THRESHOLD stays resident.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 2 << 20

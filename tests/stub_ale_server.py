@@ -8,6 +8,7 @@ directory a real server's command would end with, are ignored.
 Modes:
   ok       4x3 screen, legal actions 0/3/4, episode ends after 3 ACTs
   linger   as ok, but keep running for a minute after end of input
+  stubborn as ok, but ignore SIGTERM
   err      reject the handshake
   empty    announce a 0x0 screen
   negative announce a -4x3 screen
@@ -30,12 +31,15 @@ Modes:
 """
 
 import os
+import signal
 import sys
 import time
 
 
 def main():
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
+    if mode == "stubborn":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
     out = sys.stdout.buffer
     width, height = {"empty": (0, 0), "negative": (-4, 3),
                      "huge": (60000, 60000)}.get(mode, (4, 3))

@@ -1,12 +1,13 @@
 import os
 import shlex
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pixelcgp import envs
+from pixelcgp import bridge, envs
 from pixelcgp.bridge import (ACTION_TABLE, AleBridgeEnv, BridgeError,
                              BridgeSession, MAX_LINE_BYTES, NOOP)
 from pixelcgp.envs import Observation, run_episode
@@ -34,11 +35,11 @@ def test_handshake_and_frames():
         assert s.legal_actions == [0, 3, 4]
         obs, reward, done = s.act(3)
         assert reward == 3.5 and not done
-        assert obs.red.shape == (3, 4)
+        assert obs[0].shape == (3, 4)
         # plane bytes are (action + plane*10 + pixel) / 255
-        assert obs.red[0, 0] == 3 / 255
-        assert obs.green[0, 0] == 13 / 255
-        assert obs.blue[2, 3] == (3 + 20 + 11) / 255
+        assert obs[0][0, 0] == 3 / 255
+        assert obs[1][0, 0] == 13 / 255
+        assert obs[2][2, 3] == (3 + 20 + 11) / 255
     finally:
         s.close()
 
@@ -123,6 +124,13 @@ def test_env_releases_every_server(monkeypatch):
     assert len(started) == 2 and all(map(_released, started))
 
 
+def test_close_kills_a_server_that_ignores_sigterm(monkeypatch):
+    monkeypatch.setattr(bridge, "TERM_GRACE_S", 0.2)
+    s = BridgeSession(_cmd("stubborn"), "pong")
+    s.close()
+    assert _released(s.proc) and s.proc.returncode == -signal.SIGKILL
+
+
 def test_malformed_step_reply():
     s = BridgeSession(_cmd("badline"), "pong")
     try:
@@ -183,7 +191,7 @@ def test_env_adapter_maps_local_actions():
     try:
         assert env.n_actions == 3
         obs = env.reset()
-        assert obs.red.shape == (3, 4)
+        assert obs[0].shape == (3, 4)
         # local action 1 -> global action 3
         _, reward, done = env.step(1)
         assert reward == 3.5 and not done

@@ -35,12 +35,12 @@ def _greedy_episode(seed):
 def test_catch_observation_layout():
     env = Catch()
     obs = env.reset(0)
-    assert obs.red.shape == (12, 12)
-    assert float(np.sum(obs.red)) == 1.0       # one ball pixel
-    assert float(np.sum(obs.green)) == 3.0     # three paddle pixels
-    assert float(np.sum(obs.blue)) == 0.0
-    assert np.argmax(np.sum(obs.red, axis=0)) == env.ball[1]
-    assert obs.red[0].sum() == 1.0             # ball spawns in the top row
+    assert obs[0].shape == (12, 12)
+    assert float(np.sum(obs[0])) == 1.0        # one ball pixel
+    assert float(np.sum(obs[1])) == 3.0        # three paddle pixels
+    assert float(np.sum(obs[2])) == 0.0
+    assert np.argmax(np.sum(obs[0], axis=0)) == env.ball[1]
+    assert obs[0][0].sum() == 1.0              # ball spawns in the top row
 
 
 def test_catch_ball_falls_one_row_per_frame():
@@ -88,9 +88,9 @@ def test_catch_deterministic_per_seed():
     for _ in range(110):
         oa, ra, da = a.step(0)
         ob, rb, db = b.step(0)
-        assert np.array_equal(oa.red, ob.red)
+        assert np.array_equal(oa[0], ob[0])
         assert ra == rb and da == db
-    assert not np.array_equal(Catch().reset(1).red, Catch().reset(2).red)
+    assert not np.array_equal(Catch().reset(1)[0], Catch().reset(2)[0])
 
 
 def test_greedy_play_scores_ten():

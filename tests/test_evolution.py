@@ -95,6 +95,9 @@ class _CountEnv:
         reward = float(action)
         return self._obs, reward, self.frames >= 2
 
+    def close(self):
+        pass
+
 
 def test_elite_fitness_is_monotone():
     register_env("count", _CountEnv)
@@ -207,6 +210,23 @@ def test_pool_workers_close_their_envs(tmp_path):
             for pid in map(int, pids.read_text().split()):
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+def test_pooled_run_closes_the_parent_server_before_the_workers_start(
+        tmp_path):
+    # the parent's env plays only generation 0; a server it kept open
+    # would live, with its pipes open in every worker, until the run ends
+    pids = tmp_path / "pids"
+    cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
+                    ale_server=_counting_server(pids))
+    first_alive = []
+
+    def log(line):
+        if line.startswith("generation 1 "):
+            first_alive.append(_running(int(pids.read_text().split()[0])))
+
+    run_evolution(cfg, workers=2, log_fn=log)
+    assert first_alive == [False]
 
 
 def test_evolution_does_not_load_the_pool():
