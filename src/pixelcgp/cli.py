@@ -1,4 +1,7 @@
-"""Command line entry points: evolve, replay, export-dot."""
+"""Command line entry points: evolve, replay, export-dot.
+
+Each phase of a command names its exit code once (`_fails_as`); a failure
+leaves through `main` alone, which prints its one line and returns the code."""
 
 from __future__ import annotations
 
@@ -16,6 +19,25 @@ EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_ENV = 3
 EXIT_GENOME = 4
+
+_PREFIX = {EXIT_PIPE: "output error: ", EXIT_CONFIG: "config error: ",
+           EXIT_ENV: "environment error: ", EXIT_GENOME: "genome error: "}
+
+
+class Failure(Exception):
+    """A failed command: args are its exit code and the line main prints."""
+
+
+@contextlib.contextmanager
+def _fails_as(code: int, *errors: type[BaseException]):
+    """A phase of a command: an error of a listed type leaves it as a
+    Failure with `code`; a Failure an inner phase raised passes unchanged."""
+    try:
+        yield
+    except Failure:
+        raise
+    except errors as exc:
+        raise Failure(code, _PREFIX[code] + str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,9 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_fails_as(EXIT_CONFIG, OSError, ValueError)
 def _load_config(args) -> evolution.RunConfig:
     """The config file's values, replaced by the command line's overrides,
-    checked once (ValueError)."""
+    checked once."""
     # replay has no --out
     overrides = {key: value for key in ("seed", "env", "out_dir")
                  if (value := getattr(args, key, None)) is not None}
@@ -58,19 +81,18 @@ def _load_config(args) -> evolution.RunConfig:
     return evolution.RunConfig(**overrides)
 
 
-def cmd_evolve(args) -> int:
-    # out_dir is a config key, so an output file that cannot be written is
-    # a config error, before the run for log.txt and after it for the rest
-    try:
-        cfg = _load_config(args)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        # append mode empties nothing until this run logs generation 0
-        log_fh = open(os.path.join(cfg.out_dir, "log.txt"), "a")
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+# ValueError: a FormatError, or a file that is not UTF-8 text
+_load_genome = _fails_as(EXIT_GENOME, OSError, ValueError)(
+    persist.load_genome)
+
+
+def cmd_evolve(args) -> None:
+    cfg = _load_config(args)
     fresh = True
 
+    # out_dir is a config key, so an output file that cannot be written is
+    # a config error, whenever it fails
+    @_fails_as(EXIT_CONFIG, OSError)
     def log(line: str) -> None:
         nonlocal fresh
         if fresh:   # a previous run's log.txt goes only now
@@ -78,42 +100,31 @@ def cmd_evolve(args) -> int:
             fresh = False
         print(line, file=log_fh)
 
-    with log_fh:
-        try:
+    with _fails_as(EXIT_CONFIG, OSError):
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        # append mode empties nothing until this run logs generation 0;
+        # each generation's line reaches the file as it is logged
+        with open(os.path.join(cfg.out_dir, "log.txt"), "a",
+                  buffering=1) as log_fh, _fails_as(EXIT_ENV, Exception):
             state = evolution.run_evolution(cfg, log_fn=log)
-        except Exception as exc:
-            print(f"environment error: {exc}", file=sys.stderr)
-            return EXIT_ENV
-    try:
         persist.save_genome(state.elite,
                             os.path.join(cfg.out_dir, "best.cgp"))
         # evaluation seed of the recorded fitness; replay with
         # --seed $(cat best.seed)
         with open(os.path.join(cfg.out_dir, "best.seed"), "w") as fh:
             fh.write(f"{state.elite_seed}\n")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(f"best {state.elite_fitness} evals {state.evaluations_used}")
-    return EXIT_OK
+    with _fails_as(EXIT_PIPE, OSError):
+        print(f"best {state.elite_fitness} evals {state.evaluations_used}")
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> None:
     """Replay the evaluation evolve logged: cfg.episodes episodes from eval
     seed cfg.seed, printing each counted frame and then their mean. With
     more than one episode, `episode <k>` precedes each one's first frame."""
-    try:
-        cfg = _load_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        genome = persist.load_genome(args.genome)
-    except (OSError, ValueError) as exc:
-        # ValueError: a FormatError, or a file that is not UTF-8 text
-        print(f"genome error: {exc}", file=sys.stderr)
-        return EXIT_GENOME
+    cfg = _load_config(args)
+    genome = _load_genome(args.genome)
 
+    @_fails_as(EXIT_PIPE, OSError)
     def on_frame(episode, i, action, reward, prog):
         if i == 0 and cfg.episodes > 1:
             print(f"episode {episode}")
@@ -123,29 +134,18 @@ def cmd_replay(args) -> int:
             for n, spec, *_ in prog.plan:
                 print(f"node {n} {spec.name} {scalar_of(prog.state[n])}")
 
-    try:
-        with contextlib.closing(cfg.make_env()) as env:
-            total = cfg.score(genome, env, cfg.seed, on_frame=on_frame)
-    except evolution.GenomeMismatch as exc:
-        print(f"genome error: {exc}", file=sys.stderr)
-        return EXIT_GENOME
-    except BrokenPipeError:
-        raise   # stdout's: the bridge reports its own pipes as BridgeError
-    except Exception as exc:
-        print(f"environment error: {exc}", file=sys.stderr)
-        return EXIT_ENV
-    print(f"total {total}")
-    return EXIT_OK
+    with _fails_as(EXIT_ENV, Exception), \
+            _fails_as(EXIT_GENOME, evolution.GenomeMismatch), \
+            contextlib.closing(cfg.make_env()) as env:
+        total = cfg.score(genome, env, cfg.seed, on_frame=on_frame)
+    with _fails_as(EXIT_PIPE, OSError):
+        print(f"total {total}")
 
 
-def cmd_export_dot(args) -> int:
-    try:
-        genome = persist.load_genome(args.genome)
-    except (OSError, ValueError) as exc:
-        print(f"genome error: {exc}", file=sys.stderr)
-        return EXIT_GENOME
-    sys.stdout.write(export_dot(genome))
-    return EXIT_OK
+def cmd_export_dot(args) -> None:
+    dot = export_dot(_load_genome(args.genome))
+    with _fails_as(EXIT_PIPE, OSError):
+        sys.stdout.write(dot)
 
 
 def main(argv=None) -> int:
@@ -156,14 +156,20 @@ def main(argv=None) -> int:
         "export-dot": cmd_export_dot,
     }[args.command]
     try:
-        code = handler(args)
-        sys.stdout.flush()   # a closed stdout fails here, not at exit
-    except BrokenPipeError:
-        # stdout was closed early (`| head`); devnull takes what is still
-        # buffered, so the flush at exit cannot fail (Python's SIGPIPE note)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
-    return code
+        handler(args)
+        with _fails_as(EXIT_PIPE, OSError):
+            sys.stdout.flush()   # a bad stdout fails here, not at exit
+    except Failure as failure:
+        code, line = failure.args
+        if code == EXIT_PIPE:
+            # devnull takes what is still buffered, so the flush at exit
+            # cannot fail again (Python's SIGPIPE note)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout closed early (`| head`) stops quietly
+        if not isinstance(failure.__cause__, BrokenPipeError):
+            print(line, file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -152,15 +153,18 @@ def test_overrides_replace_bad_file_values(tmp_path, capsys, file_keys,
     assert runs["override"] == runs["file"]
 
 
-def _replay_cmd(tmp_path, *flags):
-    """A replay subprocess command, and an environment in which its stdout
-    is block-buffered, as it is for users."""
-    path = tmp_path / "tracker.cgp"
-    persist.save_genome(build_tracker(), path)
+def _cli_cmd(*argv):
+    """A CLI subprocess command, and an environment in which its stdout is
+    block-buffered, as it is for users."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pixelcgp.__file__))
-    return [sys.executable, "-m", "pixelcgp.cli", "replay", str(path),
-            *flags], env
+    return [sys.executable, "-m", "pixelcgp.cli", *map(str, argv)], env
+
+
+def _replay_cmd(tmp_path, *flags):
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    return _cli_cmd("replay", path, *flags)
 
 
 def test_replay_into_closed_pipe_is_quiet(tmp_path):
@@ -282,7 +286,8 @@ _SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
 _NAN_SERVER = shlex.join([sys.executable, STUB, "nanreward"])
 _HUGE_N_INPUT = "CGP1 10000000 1 0 0.5\n0.5\n"
 _EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
-_ERROR_PREFIX = {cli.EXIT_CONFIG: "config error: ",
+_ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
+                 cli.EXIT_CONFIG: "config error: ",
                  cli.EXIT_ENV: "environment error: ",
                  cli.EXIT_GENOME: "genome error: "}
 
@@ -388,3 +393,89 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, files, code):
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(_ERROR_PREFIX[code])
+
+
+class _LogCountingCatch(Catch):
+    """Catch that records, at each reset, the lines log.txt holds on disk."""
+    log = None
+    seen = None
+
+    def reset(self, seed):
+        with open(self.log, "rb") as fh:
+            self.seen.append(fh.read().count(b"\n"))
+        return super().reset(seed)
+
+
+def test_log_reaches_disk_line_by_line(tmp_path, capsys):
+    # log.txt used to be block-buffered: nothing reached the disk for the
+    # first few hundred generations, and a killed run lost its tail
+    register_env("log-counting-catch", _LogCountingCatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("env = log-counting-catch\nc = 5\nlambda = 2\n"
+                   "n_eval = 8\n")
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "log.txt").write_text("")
+    _LogCountingCatch.log, _LogCountingCatch.seen = run / "log.txt", []
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_OK
+    assert _LogCountingCatch.seen == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def _assert_one_line(stderr: bytes, code: int) -> None:
+    err = stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith(_ERROR_PREFIX[code])
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="needs /dev/full")
+
+
+@_NO_DEV_FULL
+def test_log_on_full_device_is_config_error(tmp_path, capsys):
+    # this used to report an environment error, exit 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "log.txt").symlink_to("/dev/full")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_CONFIG
+    _assert_one_line(capsys.readouterr().err.encode(), cli.EXIT_CONFIG)
+
+
+def test_log_over_file_size_limit_is_config_error(tmp_path):
+    # a log.txt write that fails with EFBIG used to surface only when the
+    # file was closed, as a traceback with exit 1 (Python ignores SIGXFSZ,
+    # so the process is not killed)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN)
+    cmd, env = _cli_cmd("evolve", "--config", cfg, "--out", tmp_path / "run")
+    done = subprocess.run(
+        cmd, env=env, capture_output=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0)))
+    assert done.returncode == cli.EXIT_CONFIG
+    _assert_one_line(done.stderr, cli.EXIT_CONFIG)
+
+
+@_NO_DEV_FULL
+@pytest.mark.parametrize("command", ["evolve", "replay", "export-dot"])
+def test_stdout_on_full_device_is_output_error(tmp_path, command):
+    # replay used to report an environment error, exit 3, and evolve and
+    # export-dot ended in a traceback
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUN)
+    argv = {"evolve": ["evolve", "--config", cfg, "--out", tmp_path / "run"],
+            "replay": ["replay", path, "--trace"],
+            "export-dot": ["export-dot", path]}[command]
+    cmd, env = _cli_cmd(*argv)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(cmd, env=env, stdout=full,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert done.returncode == cli.EXIT_PIPE
+    _assert_one_line(done.stderr, cli.EXIT_PIPE)
+    if command == "evolve":   # the run's files are written before stdout
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "best.cgp", "best.seed", "log.txt"]
