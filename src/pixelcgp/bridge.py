@@ -13,7 +13,7 @@ The wire protocol is line-framed requests with mixed text/binary replies:
        plane at a time when the program first reads it).
 
 Requests and replies strictly alternate. Any malformed reply, short read or
-server exit raises BridgeError; a violation never degrades into a silent
+server exit raises envs.EnvError; a violation never degrades into a silent
 zero observation. A reply line is at most MAX_LINE_BYTES long. The
 handshake's screen is at least 1x1, and its frame at most MAX_FRAME_BYTES.
 A step's reward is finite, and its done flag 0 or 1.
@@ -35,7 +35,7 @@ import subprocess
 
 import numpy as np
 
-from .envs import Observation
+from .envs import EnvError, Observation
 
 # Full controller action table; games expose a subset via the handshake.
 ACTION_TABLE = [
@@ -56,10 +56,6 @@ MAX_LINE_BYTES = 4096
 TERM_GRACE_S = 5
 
 
-class BridgeError(Exception):
-    """Protocol violation, malformed reply or server failure."""
-
-
 class BridgeSession:
     """One emulator process speaking the framed protocol for one episode."""
 
@@ -68,8 +64,8 @@ class BridgeSession:
             self.proc = subprocess.Popen(shlex.split(server_cmd),
                                          stdin=subprocess.PIPE,
                                          stdout=subprocess.PIPE)
-        except OSError as exc:
-            raise BridgeError(f"cannot start emulator server: {exc}") from exc
+        except (OSError, ValueError) as exc:   # ValueError: a NUL byte
+            raise EnvError(f"cannot start emulator server: {exc}") from exc
         try:
             self._handshake(rom)
         except BaseException:
@@ -81,22 +77,22 @@ class BridgeSession:
             self.proc.stdin.write((line + "\n").encode("ascii"))
             self.proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
-            raise BridgeError(f"server pipe closed while sending {line!r}") from exc
+            raise EnvError(f"server pipe closed while sending {line!r}") from exc
 
     def _recv_line(self) -> str:
         raw = self.proc.stdout.readline(MAX_LINE_BYTES)
         if not raw.endswith(b"\n"):
             if len(raw) == MAX_LINE_BYTES:
-                raise BridgeError(
+                raise EnvError(
                     f"reply line longer than {MAX_LINE_BYTES} bytes")
-            raise BridgeError("server closed the stream mid-reply")
+            raise EnvError("server closed the stream mid-reply")
         return raw.decode("ascii", errors="replace").strip()
 
     def _recv_exact(self, n: int) -> bytes:
         # a buffered read returns fewer than n bytes only at end of stream
         buf = self.proc.stdout.read(n)
         if len(buf) != n:
-            raise BridgeError(
+            raise EnvError(
                 f"short frame read: wanted {n} bytes, got {len(buf)}")
         return buf
 
@@ -104,18 +100,18 @@ class BridgeSession:
         self._send(f"INIT {rom}")
         reply = self._recv_line().split()
         if not reply or reply[0] != "OK":
-            raise BridgeError(f"handshake rejected: {' '.join(reply)}")
+            raise EnvError(f"handshake rejected: {' '.join(reply)}")
         try:
             w, h, k = (int(t) for t in reply[1:4])
             actions = [int(t) for t in reply[4:]]
         except ValueError as exc:
-            raise BridgeError(f"malformed handshake reply: {reply}") from exc
+            raise EnvError(f"malformed handshake reply: {reply}") from exc
         if len(actions) != k or not (1 <= k <= N_GLOBAL_ACTIONS):
-            raise BridgeError(f"handshake action list mismatch: {reply}")
+            raise EnvError(f"handshake action list mismatch: {reply}")
         if any(not 0 <= a < N_GLOBAL_ACTIONS for a in actions):
-            raise BridgeError(f"handshake action id out of range: {actions}")
+            raise EnvError(f"handshake action id out of range: {actions}")
         if w < 1 or h < 1 or 3 * w * h > MAX_FRAME_BYTES:
-            raise BridgeError(f"handshake screen size out of range: {w}x{h}")
+            raise EnvError(f"handshake screen size out of range: {w}x{h}")
         self.width, self.height = w, h
         self.legal_actions = actions
 
@@ -123,14 +119,14 @@ class BridgeSession:
         self._send(f"ACT {global_action}")
         reply = self._recv_line().split()
         if len(reply) != 3 or reply[0] != "R" or reply[2] not in ("0", "1"):
-            raise BridgeError(f"malformed step reply: {reply}")
+            raise EnvError(f"malformed step reply: {reply}")
         try:
             reward = float(reply[1])
         except ValueError as exc:
-            raise BridgeError(f"malformed step reply: {reply}") from exc
+            raise EnvError(f"malformed step reply: {reply}") from exc
         # a NaN or infinite reward would become the run's fitness
         if not math.isfinite(reward):
-            raise BridgeError(f"non-finite reward in step reply: {reply}")
+            raise EnvError(f"non-finite reward in step reply: {reply}")
         done = reply[2] == "1"
         raw = self._recv_exact(3 * self.width * self.height)
         frame = np.frombuffer(raw, dtype=np.uint8).reshape(
@@ -183,7 +179,7 @@ class AleBridgeEnv:
         if self.legal_actions is None:
             self.legal_actions = self.session.legal_actions
         elif self.session.legal_actions != self.legal_actions:
-            raise BridgeError("legal action list changed between sessions")
+            raise EnvError("legal action list changed between sessions")
         self.unplayed = True
 
     def reset(self, seed=None) -> Observation:
@@ -196,9 +192,9 @@ class AleBridgeEnv:
 
     def step(self, action: int) -> tuple[Observation, float, bool]:
         if self.session is None or self.done:
-            raise BridgeError("step without an open episode")
+            raise EnvError("step without an open episode")
         if not 0 <= action < self.n_actions:
-            raise BridgeError(f"local action {action} out of range")
+            raise EnvError(f"local action {action} out of range")
         obs, reward, done = self.session.act(self.legal_actions[action])
         self.done = done
         return obs, reward, done

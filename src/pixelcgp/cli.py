@@ -1,16 +1,19 @@
 """Command line entry points: evolve, replay, export-dot.
 
 Each phase of a command names its exit code once (`_fails_as`); a failure
-leaves through `main` alone, which prints its one line and returns the code."""
+leaves through `main` alone, which prints its one line and returns the code.
+A SIGINT or SIGTERM leaves the same way, as exit code 128 + its number."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import os
+import signal
 import sys
+import threading
 
-from . import evolution, persist
+from . import envs, evolution, persist
 from .dot import export_dot
 from .values import scalar_of
 
@@ -20,22 +23,40 @@ EXIT_CONFIG = 2
 EXIT_ENV = 3
 EXIT_GENOME = 4
 
+# seconds before a stop that landed inside subprocess is sent again
+_STOP_RETRY_S = 0.01
+
 _PREFIX = {EXIT_PIPE: "output error: ", EXIT_CONFIG: "config error: ",
            EXIT_ENV: "environment error: ", EXIT_GENOME: "genome error: "}
 
 
-class Failure(Exception):
-    """A failed command: args are its exit code and the line main prints."""
+class Failure(BaseException):
+    """A failed or stopped command: args are its exit code and the line main
+    prints. A BaseException, as KeyboardInterrupt is, so that a stop passes
+    every `except Exception` on its way out."""
+
+
+def _stop(signum, frame):
+    # raised inside subprocess, where a server is being started or released,
+    # the stop would orphan that server or be swallowed by a finalizer, so
+    # the main thread is sent the signal again shortly instead
+    while frame is not None:
+        if frame.f_globals.get("__name__") == "subprocess":
+            threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
+                            (threading.main_thread().ident, signum)).start()
+            return
+        frame = frame.f_back
+    raise Failure(128 + signum, f"stopped by {signal.Signals(signum).name}")
 
 
 @contextlib.contextmanager
-def _fails_as(code: int, *errors: type[BaseException]):
+def _fails_as(code: int, *errors: type[Exception]):
     """A phase of a command: an error of a listed type leaves it as a
-    Failure with `code`; a Failure an inner phase raised passes unchanged."""
+    Failure with `code`. No phase lists a base class of Failure, so a
+    Failure from an inner phase passes through unchanged; an error of a type
+    that no phase lists is a defect, and leaves main as a traceback."""
     try:
         yield
-    except Failure:
-        raise
     except errors as exc:
         raise Failure(code, _PREFIX[code] + str(exc)) from exc
 
@@ -81,7 +102,7 @@ def _load_config(args) -> evolution.RunConfig:
     return evolution.RunConfig(**overrides)
 
 
-# ValueError: a FormatError, or a file that is not UTF-8 text
+# ValueError: a malformed file, or one that is not UTF-8 text
 _load_genome = _fails_as(EXIT_GENOME, OSError, ValueError)(
     persist.load_genome)
 
@@ -105,7 +126,7 @@ def cmd_evolve(args) -> None:
         # append mode empties nothing until this run logs generation 0;
         # each generation's line reaches the file as it is logged
         with open(os.path.join(cfg.out_dir, "log.txt"), "a",
-                  buffering=1) as log_fh, _fails_as(EXIT_ENV, Exception):
+                  buffering=1) as log_fh, _fails_as(EXIT_ENV, envs.EnvError):
             state = evolution.run_evolution(cfg, log_fn=log)
         persist.save_genome(state.elite,
                             os.path.join(cfg.out_dir, "best.cgp"))
@@ -134,7 +155,7 @@ def cmd_replay(args) -> None:
             for n, spec, *_ in prog.plan:
                 print(f"node {n} {spec.name} {scalar_of(prog.state[n])}")
 
-    with _fails_as(EXIT_ENV, Exception), \
+    with _fails_as(EXIT_ENV, envs.EnvError), \
             _fails_as(EXIT_GENOME, evolution.GenomeMismatch), \
             contextlib.closing(cfg.make_env()) as env:
         total = cfg.score(genome, env, cfg.seed, on_frame=on_frame)
@@ -148,6 +169,12 @@ def cmd_export_dot(args) -> None:
         sys.stdout.write(dot)
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's file at devnull, so that what is still buffered for it
+    cannot fail again in the flush at exit (Python's SIGPIPE note)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {
@@ -155,6 +182,10 @@ def main(argv=None) -> int:
         "replay": cmd_replay,
         "export-dot": cmd_export_dot,
     }[args.command]
+    # a stop unwinds like a failure, so the env and its server are closed on
+    # the way out; the previous handlers return, as main may run in process
+    previous = {sig: signal.signal(sig, _stop)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         handler(args)
         with _fails_as(EXIT_PIPE, OSError):
@@ -162,13 +193,17 @@ def main(argv=None) -> int:
     except Failure as failure:
         code, line = failure.args
         if code == EXIT_PIPE:
-            # devnull takes what is still buffered, so the flush at exit
-            # cannot fail again (Python's SIGPIPE note)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
         # stdout closed early (`| head`) stops quietly
         if not isinstance(failure.__cause__, BrokenPipeError):
-            print(line, file=sys.stderr)
+            try:
+                print(line, file=sys.stderr)
+            except OSError:   # an unwritable stderr leaves the code as is
+                _to_devnull(sys.stderr)
         return code
+    finally:
+        for sig, old in previous.items():
+            signal.signal(sig, old)
     return EXIT_OK
 
 

@@ -6,7 +6,9 @@ three rows x cols pixel planes (red, green, blue) with elements in [0, 1],
 which feed straight into the [-1, 1] program domain without further scaling.
 close() releases what the env holds, such as an emulator server; it may be
 called more than once, and a later reset() still works. Whoever builds an
-env closes it; nothing closes an env it was handed.
+env closes it; nothing closes an env it was handed. An env that fails
+(a violated contract, an emulator server that dies or misbehaves) raises
+EnvError; any other exception out of an env is a defect in pixelcgp.
 
 Planes cost only what the program reads. run_episode hands the Observation
 itself to Program.step, which loads only the inputs in Program.reads: those
@@ -27,8 +29,9 @@ import numpy as np
 from .genome import Program, select_action
 
 
-class EnvironmentError_(Exception):
-    """Raised on contract violations such as stepping a finished episode."""
+class EnvError(Exception):
+    """A failure of the environment itself: a contract violation, such as
+    stepping a finished episode, or an emulator server that fails."""
 
 
 N_INPUT_PLANES = 3
@@ -98,7 +101,7 @@ class Catch:
 
     def step(self, action: int) -> tuple[Observation, float, bool]:
         if self.done:
-            raise EnvironmentError_("step after episode end")
+            raise EnvError("step after episode end")
         if action == 1:
             self.paddle = max(1, self.paddle - 1)
         elif action == 2:

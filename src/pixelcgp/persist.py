@@ -8,6 +8,7 @@ Genome files are two text lines:
 Genes are printed with 17 significant digits so parse(serialize(g)) is
 bit-exact. Config files are flat ``key = value`` lines; blank lines and
 ``#`` comments are ignored, and unknown or repeated keys are rejected.
+A malformed file of either kind raises ValueError.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .genome import Genome
 GENOME_MAGIC = "CGP1"
 
 
-class FormatError(ValueError):
-    """Malformed genome or config file."""
-
-
 def serialize_genome(genome: Genome) -> str:
     header = (f"{GENOME_MAGIC} {genome.n_input} {genome.n_output} "
               f"{genome.C} {genome.r:.17g}")
@@ -36,20 +33,17 @@ def serialize_genome(genome: Genome) -> str:
 def parse_genome(text: str) -> Genome:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
-        raise FormatError(f"genome file needs 2 lines, got {len(lines)}")
+        raise ValueError(f"genome file needs 2 lines, got {len(lines)}")
     head = lines[0].split()
     if len(head) != 5 or head[0] != GENOME_MAGIC:
-        raise FormatError(f"bad genome header: {lines[0]!r}")
+        raise ValueError(f"bad genome header: {lines[0]!r}")
     try:
         n_input, n_output, C = int(head[1]), int(head[2]), int(head[3])
         r = float(head[4])
         genes = np.array([float(t) for t in lines[1].split()])
     except ValueError as exc:
-        raise FormatError(f"unparsable genome value: {exc}") from exc
-    try:
-        return Genome(genes, n_input, n_output, C, r)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        raise ValueError(f"unparsable genome value: {exc}") from exc
+    return Genome(genes, n_input, n_output, C, r)
 
 
 def save_genome(genome: Genome, path) -> None:
@@ -78,24 +72,21 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise FormatError(f"line {lineno}: expected 'key = value'")
+            raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
-            raise FormatError(
+            raise ValueError(
                 f"lines {seen[key]} and {lineno}: key {key!r} given twice")
         seen[key] = lineno
         f = _FIELDS[key]
         try:
             values[f.name] = type(f.default)(value)
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
+            raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
     values.update(overrides or {})
-    try:
-        return RunConfig(**values)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from pixelcgp import bridge, envs
-from pixelcgp.bridge import (ACTION_TABLE, AleBridgeEnv, BridgeError,
-                             BridgeSession, MAX_LINE_BYTES, NOOP)
-from pixelcgp.envs import Observation, run_episode
+from pixelcgp.bridge import (ACTION_TABLE, AleBridgeEnv, BridgeSession,
+                             MAX_LINE_BYTES, NOOP)
+from pixelcgp.envs import EnvError, Observation, run_episode
 from pixelcgp.evolution import RunConfig
 from pixelcgp.functions import FUNCTIONS_BY_NAME
 from pixelcgp.genome import Program
@@ -45,14 +45,14 @@ def test_handshake_and_frames():
 
 
 def test_handshake_rejection():
-    with pytest.raises(BridgeError, match="rejected"):
+    with pytest.raises(EnvError, match="rejected"):
         BridgeSession(_cmd("err"), "pong")
 
 
 @pytest.mark.parametrize("mode", ["empty", "negative", "huge"])
 def test_handshake_screen_size_bounded(mode):
     # a 0x0 screen gave empty planes; a negative or huge one reached read()
-    with pytest.raises(BridgeError, match="screen size"):
+    with pytest.raises(EnvError, match="screen size"):
         BridgeSession(_cmd(mode), "pong")
 
 
@@ -64,7 +64,7 @@ def test_handshake_screen_size_bounded(mode):
     ("longline", f"longer than {MAX_LINE_BYTES} bytes"),
 ])
 def test_malformed_handshake(mode, match):
-    with pytest.raises(BridgeError, match=match):
+    with pytest.raises(EnvError, match=match):
         BridgeSession(_cmd(mode), "pong")
 
 
@@ -89,7 +89,7 @@ def _released(proc) -> bool:
 @pytest.mark.parametrize("mode", ["err", "empty"])
 def test_failed_handshake_releases_its_server(monkeypatch, mode):
     started = _spy_on_servers(monkeypatch)
-    with pytest.raises(BridgeError):
+    with pytest.raises(EnvError):
         BridgeSession(_cmd(mode), "pong")
     assert len(started) == 1 and _released(started[0])
 
@@ -134,7 +134,7 @@ def test_close_kills_a_server_that_ignores_sigterm(monkeypatch):
 def test_malformed_step_reply():
     s = BridgeSession(_cmd("badline"), "pong")
     try:
-        with pytest.raises(BridgeError):
+        with pytest.raises(EnvError):
             s.act(0)
     finally:
         s.close()
@@ -147,7 +147,7 @@ def test_bad_reward_or_done_flag(mode, match):
     # a NaN reward used to become the run's fitness, and any integer its done
     s = BridgeSession(_cmd(mode), "pong")
     try:
-        with pytest.raises(BridgeError, match=match):
+        with pytest.raises(EnvError, match=match):
             s.act(0)
     finally:
         s.close()
@@ -156,7 +156,7 @@ def test_bad_reward_or_done_flag(mode, match):
 def test_short_frame_read():
     s = BridgeSession(_cmd("short"), "pong")
     try:
-        with pytest.raises(BridgeError, match="short frame"):
+        with pytest.raises(EnvError, match="short frame"):
             s.act(0)
     finally:
         s.close()
@@ -165,7 +165,7 @@ def test_short_frame_read():
 def test_step_reply_cut_off_mid_line():
     s = BridgeSession(_cmd("cutline"), "pong")
     try:
-        with pytest.raises(BridgeError, match="mid-reply"):
+        with pytest.raises(EnvError, match="mid-reply"):
             s.act(0)
     finally:
         s.close()
@@ -175,15 +175,22 @@ def test_request_after_server_exit():
     s = BridgeSession(_cmd("quit"), "pong")
     try:
         s.proc.wait(timeout=10)
-        with pytest.raises(BridgeError, match="pipe closed"):
+        with pytest.raises(EnvError, match="pipe closed"):
             s.act(0)
     finally:
         s.close()
 
 
 def test_missing_server_binary():
-    with pytest.raises(BridgeError, match="cannot start"):
+    with pytest.raises(EnvError, match="cannot start"):
         BridgeSession("/no/such/server", "pong")
+
+
+def test_server_command_with_a_nul_byte():
+    # Popen rejects it with ValueError, which only the CLI's catch-all of
+    # every exception used to report as an environment error
+    with pytest.raises(EnvError, match="cannot start"):
+        BridgeSession(f"{sys.executable}\0x", "pong")
 
 
 def test_env_adapter_maps_local_actions():
@@ -197,9 +204,9 @@ def test_env_adapter_maps_local_actions():
         assert reward == 3.5 and not done
         _, reward, done = env.step(2)
         assert reward == 4.5 and done
-        with pytest.raises(BridgeError):
+        with pytest.raises(EnvError):
             env.step(0)  # episode over
-        with pytest.raises(BridgeError):
+        with pytest.raises(EnvError):
             env.reset() and env.step(5)  # out of range
     finally:
         env.close()
@@ -224,7 +231,7 @@ def test_env_rejects_changed_action_list(tmp_path):
     try:
         assert env.n_actions == 3
         env.reset()
-        with pytest.raises(BridgeError, match="action list changed"):
+        with pytest.raises(EnvError, match="action list changed"):
             env.reset()
     finally:
         env.close()
@@ -237,9 +244,9 @@ def test_env_rejects_reordered_action_list(tmp_path):
     env = AleBridgeEnv(f"{_cmd('reorder')} {state}", "pong")
     try:
         env.reset()
-        with pytest.raises(BridgeError, match="action list changed"):
+        with pytest.raises(EnvError, match="action list changed"):
             env.reset()
-        with pytest.raises(BridgeError, match="without an open episode"):
+        with pytest.raises(EnvError, match="without an open episode"):
             env.step(1)
     finally:
         env.close()

@@ -1,14 +1,16 @@
 import os
 import resource
 import shlex
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import pixelcgp
-from pixelcgp import cli, persist
+from pixelcgp import cli, functions, persist
 from pixelcgp.envs import Catch, register_env
 from pixelcgp.genome import random_genome
 
@@ -479,3 +481,96 @@ def test_stdout_on_full_device_is_output_error(tmp_path, command):
     if command == "evolve":   # the run's files are written before stdout
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
             "best.cgp", "best.seed", "log.txt"]
+
+
+@_NO_DEV_FULL
+def test_stderr_on_full_device_keeps_exit_code(tmp_path):
+    # the failed print of the one line used to end in a traceback, exit 1
+    cmd, env = _cli_cmd("evolve", "--env", "nosuch", "--out", tmp_path)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(cmd, env=env, stderr=full, timeout=60)
+    assert done.returncode == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["evolve", "replay"])
+def test_defect_during_play_is_a_traceback(tmp_path, capsys, monkeypatch,
+                                           command):
+    # an interpreter bug used to read `environment error: ...`, exit 3
+    def broken_apply(*args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(functions, "apply", broken_apply)
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    argv = {"evolve": ["evolve", "--out", str(tmp_path / "run")],
+            "replay": ["replay", str(path)]}[command]
+    with pytest.raises(IndexError):
+        cli.main(argv)
+    assert capsys.readouterr().err == ""
+
+
+_LINGER_SERVER = shlex.join([sys.executable, STUB, "linger"])
+
+
+def _servers_marked(marker: str) -> list[int]:
+    """The stub servers running whose command line holds marker."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                argv = fh.read().decode(errors="replace").split("\0")
+        except OSError:   # the process has gone
+            continue
+        if STUB in argv and marker in argv:
+            pids.append(int(pid))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.parametrize("env_keys", [
+    pytest.param("", id="catch"),
+    # linger keeps a server that is not closed alive for a minute
+    pytest.param(f"env = ale:pong\nale_server = {_LINGER_SERVER} {{marker}}\n",
+                 id="linger"),
+])
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_signal_stops_with_one_line(tmp_path, env_keys, signum):
+    # SIGINT used to die by the signal with a traceback, SIGTERM with no
+    # line at all
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(env_keys.format(marker=shlex.quote(str(tmp_path))))
+    log = tmp_path / "run" / "log.txt"
+    cmd, env = _cli_cmd("evolve", "--config", cfg, "--out", tmp_path / "run")
+    with subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not (log.exists() and log.read_text().count("\n") >= 2):
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.02)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 128 + signum
+    assert err.decode().splitlines() == [
+        f"stopped by {signal.Signals(signum).name}"]
+    assert _servers_marked(str(tmp_path)) == []
+
+
+def test_stop_inside_subprocess_is_sent_again(monkeypatch):
+    # raised there, a stop orphaned a server being started, or vanished in
+    # the Popen finalizer that ran when a session was dropped
+    sent = []
+    monkeypatch.setattr(signal, "pthread_kill",
+                        lambda ident, signum: sent.append(signum))
+    in_subprocess = eval("sys._getframe()", vars(subprocess))
+    assert cli._stop(signal.SIGTERM, in_subprocess) is None
+    deadline = time.monotonic() + 10
+    while not sent:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert sent == [signal.SIGTERM]
+    with pytest.raises(cli.Failure) as stop:
+        cli._stop(signal.SIGTERM, sys._getframe())
+    assert stop.value.args == (143, "stopped by SIGTERM")

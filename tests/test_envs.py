@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pixelcgp
-from pixelcgp.envs import (Catch, EnvironmentError_, FrameSkip, episode_seeds,
+from pixelcgp.envs import (Catch, EnvError, FrameSkip, episode_seeds,
                            make_env, run_episode)
 from pixelcgp.genome import decode
 
@@ -77,7 +77,7 @@ def test_catch_episode_is_ten_balls():
     assert len(rewards) == 10
     assert frames == 110  # 11 falling frames per ball
     assert all(r in (-1.0, 1.0) for r in rewards)
-    with pytest.raises(EnvironmentError_):
+    with pytest.raises(EnvError):
         env.step(0)
 
 

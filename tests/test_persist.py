@@ -3,9 +3,9 @@ import pytest
 
 from pixelcgp.evolution import RunConfig
 from pixelcgp.genome import MAX_N_INPUT, Genome, random_genome
-from pixelcgp.persist import (FormatError, load_config, load_genome,
-                              parse_config, parse_genome, save_genome,
-                              serialize_config, serialize_genome)
+from pixelcgp.persist import (load_config, load_genome, parse_config,
+                              parse_genome, save_genome, serialize_config,
+                              serialize_genome)
 
 
 def test_genome_round_trip_bit_exact():
@@ -26,13 +26,13 @@ def test_genome_file_round_trip(tmp_path):
 
 
 def test_genome_format_errors():
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError):
         parse_genome("not a genome\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError):
         parse_genome("CGP1 3 3 40 0.1\n0.5 0.5\n")     # wrong gene count
-    with pytest.raises(FormatError, match="bad genome header"):
+    with pytest.raises(ValueError, match="bad genome header"):
         parse_genome("CGP2 1 1 0 0\n0.5\n")            # bad magic
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError):
         parse_genome("CGP1 1 1 1 0.0\n0.1 0.2 0.3 0.x 0.5\n")
 
 
@@ -40,9 +40,9 @@ def test_genome_n_input_bounded():
     genes = " ".join(["0.5"] * 5)
     at_limit = f"CGP1 {MAX_N_INPUT} 1 1 0.0\n{genes}\n"
     assert parse_genome(at_limit).n_input == MAX_N_INPUT
-    with pytest.raises(FormatError, match="n_input"):
+    with pytest.raises(ValueError, match="n_input"):
         parse_genome(f"CGP1 {MAX_N_INPUT + 1} 1 1 0.0\n{genes}\n")
-    with pytest.raises(FormatError, match="n_input"):
+    with pytest.raises(ValueError, match="n_input"):
         parse_genome("CGP1 10000000 1 0 0.5\n0.5\n")
 
 
@@ -55,7 +55,7 @@ def test_config_round_trip():
 def test_config_lambda_key():
     cfg = parse_config("lambda = 7\n")
     assert cfg.lam == 7
-    with pytest.raises(FormatError, match="unknown key"):
+    with pytest.raises(ValueError, match="unknown key"):
         parse_config("lam = 7\n")  # only the spelled-out key is accepted
 
 
@@ -65,20 +65,20 @@ def test_config_comments_and_blanks():
 
 
 def test_config_unknown_key():
-    with pytest.raises(FormatError, match="unknown key"):
+    with pytest.raises(ValueError, match="unknown key"):
         parse_config("mystery = 1\n")
-    with pytest.raises(FormatError, match="unknown key"):
+    with pytest.raises(ValueError, match="unknown key"):
         parse_config("__class__ = 1\n")
     # a ROM directory goes at the end of the ale_server command
-    with pytest.raises(FormatError, match="unknown key"):
+    with pytest.raises(ValueError, match="unknown key"):
         parse_config("rom_dir = /roms\n")
 
 
 def test_config_repeated_key():
     # the last value used to win silently
-    with pytest.raises(FormatError, match="lines 1 and 3: key 'seed'"):
+    with pytest.raises(ValueError, match="lines 1 and 3: key 'seed'"):
         parse_config("seed = 1\nc = 12\nseed = 2\n")
-    with pytest.raises(FormatError, match="key 'lambda' given twice"):
+    with pytest.raises(ValueError, match="key 'lambda' given twice"):
         parse_config("lambda = 4\n# lambda = 5\nlambda = 4\n")
 
 
@@ -87,16 +87,16 @@ def test_config_overrides_replace_file_values():
     assert parse_config("seed = -1\n", {"seed": 3}).seed == 3
     assert parse_config("env = ctach\n", {"env": "catch"}).env == "catch"
     # but the file must still parse
-    with pytest.raises(FormatError, match="seed"):
+    with pytest.raises(ValueError, match="seed"):
         parse_config("seed = soon\n", {"seed": 3})
-    with pytest.raises(FormatError, match="seed"):
+    with pytest.raises(ValueError, match="seed"):
         parse_config("", {"seed": -1})
 
 
 def test_config_bad_values():
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError):
         parse_config("seed = soon\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ValueError):
         parse_config("just a line\n")
 
 
@@ -116,7 +116,7 @@ def test_load_config(tmp_path):
 
 def _genome_rejected_both_ways(text, match):
     """A bad genome fails in a genome file and when built directly."""
-    with pytest.raises(FormatError, match=match):
+    with pytest.raises(ValueError, match=match):
         parse_genome(text)
     head, genes = text.splitlines()
     _, n_input, n_output, C, r = head.split()
@@ -158,7 +158,7 @@ def test_genome_accepts_interval_ends():
 def _rejected_both_ways(line):
     """A bad value fails in a config file and in a directly built config."""
     key, value = line.split(" = ")
-    with pytest.raises(FormatError, match=key):
+    with pytest.raises(ValueError, match=key):
         parse_config(line + "\n")
     field = "lam" if key == "lambda" else key
     kind = type(getattr(RunConfig(), field))
