@@ -176,22 +176,10 @@ def evaluate(genome: Genome, environment, episodes_per_eval: int,
     return sum(totals) / len(totals)
 
 
-_worker = None   # (config, env) of a pool worker process, set by _init_worker
-
-
-def _init_worker(config: RunConfig) -> None:
-    # a pool worker leaves by os._exit, which skips atexit but not
-    # multiprocessing's finalizers, so one of those closes its env
-    from multiprocessing.util import Finalize
-    global _worker
-    env = config.make_env()
-    _worker = (config, env)
-    Finalize(None, env.close, exitpriority=0)
-
-
-def _score_in_worker(genome: Genome, seed: int) -> float:
-    config, env = _worker
-    return config.score(genome, env, seed)
+def _score_copy(config: RunConfig, env, genome: Genome, seed: int) -> float:
+    # a pool task's env is its own unpickled copy, so the task closes it
+    with contextlib.closing(env):
+        return config.score(genome, env, seed)
 
 
 def run_evolution(config: RunConfig, workers: int = 1,
@@ -200,9 +188,10 @@ def run_evolution(config: RunConfig, workers: int = 1,
     genome. log_fn, if given, gets each generation's line, from 0 on.
 
     The genome has one input per observation plane and one output per
-    action of the config's environment. The env is built once here and,
-    with workers > 1, once in each worker process; the parent's then
-    plays only generation 0 and is closed before the workers start.
+    action of the config's environment. The env is built once, here. With
+    workers > 1 it plays only generation 0 and is closed before the pool
+    starts; each pool task then plays on a pickled copy of the closed env,
+    which keeps the env's legal action list, and closes its copy when done.
     """
     rng = np.random.default_rng(config.seed)
     with contextlib.ExitStack() as stack:
@@ -218,13 +207,14 @@ def run_evolution(config: RunConfig, workers: int = 1,
             log_fn(state.line())
         pool = None
         if workers > 1:
-            # the pool plays every later episode; closed first, this
-            # server's pipes are not copied into the forked workers
+            # the pool plays every later episode on copies of this env;
+            # closed first, its server's pipes are not copied into the
+            # forked workers, and an open server could not be pickled
             env.close()
             # only a pool loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(
-                workers, initializer=_init_worker, initargs=(config,)))
+            pool = stack.enter_context(ProcessPoolExecutor(workers))
+            score_copy = functools.partial(_score_copy, config, env)
         for gen in range(1, config.generations + 1):
             offspring = [
                 mutate(state.elite, config.m_nodes, config.m_output, rng)
@@ -236,7 +226,7 @@ def run_evolution(config: RunConfig, workers: int = 1,
                 fits = [config.score(g, env, seed)
                         for g, seed in zip(offspring, seeds)]
             else:
-                fits = list(pool.map(_score_in_worker, offspring, seeds))
+                fits = list(pool.map(score_copy, offspring, seeds))
             state.evaluations_used += config.lam
             best_i = max(range(config.lam), key=lambda i: (fits[i], -i))
             if fits[best_i] >= state.elite_fitness:

@@ -5,9 +5,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import pixelcgp
-from pixelcgp.envs import N_INPUT_PLANES, register_env
+from pixelcgp.envs import N_INPUT_PLANES, EnvError, register_env
 from pixelcgp.evolution import (RunConfig, eval_seed_for, evaluate, mutate,
                                 run_evolution)
 from pixelcgp.genome import random_genome
@@ -186,6 +187,20 @@ def test_ale_serial_and_parallel_logs_match(tmp_path):
     assert starts[2] == 9
 
 
+@pytest.mark.parametrize("mode", ["reorder", "shrink"])
+def test_pooled_run_checks_every_session_against_the_first(tmp_path, mode):
+    # every server after the first offers another action list; a pooled
+    # run must reject it as a serial run does, not let each task's first
+    # session set an action list of its own
+    for workers in (1, 2):
+        state = tmp_path / f"state{workers}"
+        server = shlex.join([sys.executable, STUB, mode, str(state)])
+        cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
+                        ale_server=server)
+        with pytest.raises(EnvError, match="action list changed"):
+            run_evolution(cfg, workers=workers)
+
+
 def _running(pid) -> bool:
     try:
         os.kill(pid, 0)
@@ -195,8 +210,8 @@ def _running(pid) -> bool:
 
 
 def test_pool_workers_close_their_envs(tmp_path):
-    # a worker exits by os._exit, which skipped the env's close: the server
-    # of its last episode outlived it
+    # each pool task closes its copy of the env; a linger server that a
+    # task left open would outlive the run
     pids = tmp_path / "pids"
     cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
                     ale_server=_counting_server(pids, "linger"))
