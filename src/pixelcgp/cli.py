@@ -111,9 +111,6 @@ def cmd_evolve(args) -> None:
     cfg = _load_config(args)
     fresh = True
 
-    # out_dir is a config key, so an output file that cannot be written is
-    # a config error, whenever it fails
-    @_fails_as(EXIT_CONFIG, OSError)
     def log(line: str) -> None:
         nonlocal fresh
         if fresh:   # a previous run's log.txt goes only now
@@ -121,6 +118,8 @@ def cmd_evolve(args) -> None:
             fresh = False
         print(line, file=log_fh)
 
+    # out_dir is a config key, so an output file that cannot be written is
+    # a config error, whenever it fails, log.txt's lines included
     with _fails_as(EXIT_CONFIG, OSError):
         os.makedirs(cfg.out_dir, exist_ok=True)
         # append mode empties nothing until this run logs generation 0;

@@ -72,9 +72,6 @@ class Observation:
         return [self[0], self[1], self[2]]
 
 
-DEFAULT_FRAME_CAP = 18000
-
-
 class Catch:
     """Catch a falling ball with a paddle; +1 per catch, -1 per miss.
 
@@ -184,13 +181,12 @@ def episode_seeds(eval_seed: int, episode: int) -> tuple:
 
 
 def run_episode(program: Program, env, eval_seed: int, episode: int = 0, *,
-                p_fskip: float, frame_cap: int = DEFAULT_FRAME_CAP,
-                on_frame=None) -> float:
+                p_fskip: float, frame_cap: int, on_frame=None) -> float:
     """Play one episode and return its total reward.
 
     The program state is zeroed first and the program is stepped once per
-    non-skipped frame. on_frame, if given, is called with
-    (frame index, action, reward, program) after every counted frame.
+    non-skipped frame. on_frame, if given, is called with (episode,
+    frame index, action, reward, program) after every counted frame.
     """
     env_seed, skip_seed = episode_seeds(eval_seed, episode)
     skip = FrameSkip(env, p_fskip, np.random.default_rng(skip_seed))
@@ -207,7 +203,8 @@ def run_episode(program: Program, env, eval_seed: int, episode: int = 0, *,
         obs, reward, done, skipped = skip.step(act)
         total += reward
         if on_frame is not None and not skipped:
-            on_frame(skip.counted_frames - 1, skip.last_action, reward, program)
+            on_frame(episode, skip.counted_frames - 1, skip.last_action,
+                     reward, program)
     return total
 
 

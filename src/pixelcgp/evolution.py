@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
+import re
 import shlex
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ class RunConfig:
     n_eval: int = 10000
     episodes: int = 1
     p_fskip: float = 0.25
-    frame_cap: int = envs.DEFAULT_FRAME_CAP
+    frame_cap: int = 18000
     seed: int = 0
     out_dir: str = "."
     ale_server: str = ""
@@ -70,8 +72,17 @@ class RunConfig:
         # at p_fskip = 1 every frame is skipped, so the frame cap is never met
         if not 0.0 <= self.p_fskip < 1.0:
             raise ValueError(f"p_fskip = {self.p_fskip!r} outside [0, 1)")
+        # no path or command line can hold a NUL byte
+        for key in ("out_dir", "ale_server"):
+            value = getattr(self, key)
+            if "\0" in value:
+                raise ValueError(f"{key} = {value!r} holds a NUL byte")
         # a bad env would otherwise fail only after evolve opened log.txt
         if self.env.startswith("ale:"):
+            # the ROM is the one token of the bridge's INIT line
+            if not re.fullmatch("[!-~]+", self.env[4:]):
+                raise ValueError(f"env = {self.env!r}: the ROM name must be "
+                                 "one printable ASCII token")
             if not self.ale_server:
                 raise ValueError(f"env = {self.env} needs the ale_server key")
             try:   # the command line the bridge will run
@@ -95,8 +106,9 @@ class RunConfig:
     def score(self, genome: Genome, env, eval_seed: int,
               on_frame=None) -> float:
         """genome's fitness under this run's protocol (episodes, p_fskip,
-        frame_cap) from eval_seed. Evolution, its workers and replay all
-        score through here, so a logged fitness replays exactly."""
+        frame_cap) from eval_seed, with on_frame as evaluate takes it.
+        Evolution, its pool tasks and replay all score through here, so a
+        logged fitness replays exactly."""
         return evaluate(genome, env, self.episodes, eval_seed,
                         p_fskip=self.p_fskip, frame_cap=self.frame_cap,
                         on_frame=on_frame)
@@ -151,14 +163,14 @@ class GenomeMismatch(ValueError):
 
 
 def evaluate(genome: Genome, environment, episodes_per_eval: int,
-             eval_seed: int, *, p_fskip: float,
-             frame_cap: int = envs.DEFAULT_FRAME_CAP, on_frame=None) -> float:
+             eval_seed: int, *, p_fskip: float, frame_cap: int,
+             on_frame=None) -> float:
     """Mean total episode reward; deterministic given (genome, eval_seed).
 
     The genome must read the observation planes and have one output per
     action of the environment, or GenomeMismatch is raised before any play.
-    on_frame, if given, is called as on_frame(episode, frame index, action,
-    reward, program) after every counted frame of every episode.
+    on_frame, if given, is passed to each episode's run_episode, which calls
+    it as on_frame(episode, frame index, action, reward, program).
     """
     if (genome.n_input != envs.N_INPUT_PLANES
             or genome.n_output != environment.n_actions):
@@ -170,13 +182,13 @@ def evaluate(genome: Genome, environment, episodes_per_eval: int,
     totals = [
         envs.run_episode(program, environment, eval_seed, episode=ep,
                          p_fskip=p_fskip, frame_cap=frame_cap,
-                         on_frame=on_frame and functools.partial(on_frame, ep))
+                         on_frame=on_frame)
         for ep in range(episodes_per_eval)
     ]
     return sum(totals) / len(totals)
 
 
-def _score_copy(config: RunConfig, env, genome: Genome, seed: int) -> float:
+def _score_copy(config: RunConfig, genome: Genome, env, seed: int) -> float:
     # a pool task's env is its own unpickled copy, so the task closes it
     with contextlib.closing(env):
         return config.score(genome, env, seed)
@@ -188,10 +200,11 @@ def run_evolution(config: RunConfig, workers: int = 1,
     genome. log_fn, if given, gets each generation's line, from 0 on.
 
     The genome has one input per observation plane and one output per
-    action of the config's environment. The env is built once, here. With
-    workers > 1 it plays only generation 0 and is closed before the pool
-    starts; each pool task then plays on a pickled copy of the closed env,
-    which keeps the env's legal action list, and closes its copy when done.
+    action of the config's environment. The env is built once, here, and
+    each generation maps one scorer over (offspring, env, eval seed). With
+    workers > 1 the env plays only generation 0 and is closed before the
+    pool starts; each pool task then plays on a pickled copy of the closed
+    env, which keeps its legal action list, and closes its copy when done.
     """
     rng = np.random.default_rng(config.seed)
     with contextlib.ExitStack() as stack:
@@ -205,7 +218,7 @@ def run_evolution(config: RunConfig, workers: int = 1,
                                evaluations_used=1)
         if log_fn is not None:
             log_fn(state.line())
-        pool = None
+        mapper, score = map, config.score
         if workers > 1:
             # the pool plays every later episode on copies of this env;
             # closed first, its server's pipes are not copied into the
@@ -213,8 +226,8 @@ def run_evolution(config: RunConfig, workers: int = 1,
             env.close()
             # only a pool loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(workers))
-            score_copy = functools.partial(_score_copy, config, env)
+            mapper = stack.enter_context(ProcessPoolExecutor(workers)).map
+            score = functools.partial(_score_copy, config)
         for gen in range(1, config.generations + 1):
             offspring = [
                 mutate(state.elite, config.m_nodes, config.m_output, rng)
@@ -222,11 +235,7 @@ def run_evolution(config: RunConfig, workers: int = 1,
             ]
             seeds = [eval_seed_for(config.seed, gen, i)
                      for i in range(config.lam)]
-            if pool is None:
-                fits = [config.score(g, env, seed)
-                        for g, seed in zip(offspring, seeds)]
-            else:
-                fits = list(pool.map(score_copy, offspring, seeds))
+            fits = list(mapper(score, offspring, itertools.repeat(env), seeds))
             state.evaluations_used += config.lam
             best_i = max(range(config.lam), key=lambda i: (fits[i], -i))
             if fits[best_i] >= state.elite_fitness:

@@ -131,7 +131,7 @@ def test_criterion_05_evolution_invariants():
 def _action_trace(genome, seed, frames):
     actions = []
     run_episode(decode(genome), Catch(), seed, p_fskip=0.0, frame_cap=frames,
-                on_frame=lambda i, a, r, p: actions.append(a))
+                on_frame=lambda e, i, a, r, p: actions.append(a))
     return actions
 
 
@@ -177,7 +177,7 @@ def _best_random(first, genomes, seeds):
     genome i is scored from seeds[i % len(seeds)]."""
     env = Catch()
     return max(evaluate(g, env, 1, seeds[(first + k) % len(seeds)],
-                        p_fskip=0.25)
+                        p_fskip=0.25, frame_cap=18000)
                for k, g in enumerate(genomes))
 
 
@@ -185,7 +185,7 @@ def _best_random(first, genomes, seeds):
 def test_criterion_07_catch_capability():
     # (a) expressiveness: the hand-built tracker is a perfect player
     tracker = decode(build_tracker())
-    scores = [run_episode(tracker, Catch(), seed, p_fskip=0.0)
+    scores = [run_episode(tracker, Catch(), seed, p_fskip=0.0, frame_cap=18000)
               for seed in range(20)]
     oracle_scores = [_greedy_score(episode_seeds(seed, 0)[0])
                      for seed in range(20)]

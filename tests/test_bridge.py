@@ -300,7 +300,8 @@ def test_skipped_frames_are_never_converted(monkeypatch):
     env = AleBridgeEnv(_cmd("long"), "pong")
     try:
         # no program nodes: the outputs are the three planes themselves
-        run_episode(Program(3, 3, [0, 1, 2], []), env, 5, p_fskip=0.5)
+        run_episode(Program(3, 3, [0, 1, 2], []), env, 5, p_fskip=0.5,
+                    frame_cap=18000)
     finally:
         env.close()
     assert len(frames) == len(skipped) + 1 == 40

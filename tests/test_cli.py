@@ -332,6 +332,40 @@ _ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
         ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"],
         {"run.cfg": 'env = ale:pong\nale_server = "x\n'},
         cli.EXIT_CONFIG, id="evolve-unsplittable-ale-server"),
+    # the ROM is the one token of the bridge's INIT line: a newline in it
+    # sent a second request and shifted every reply, a space or an empty
+    # name sent a line without one token, and a non-ASCII name failed as a
+    # closed pipe
+    pytest.param(
+        [*_EVOLVE_SMALL, "--env", "ale:pong\nACT 3"],
+        {"run.cfg": f"ale_server = {_ERR_SERVER}\n"},
+        cli.EXIT_CONFIG, id="evolve-rom-newline"),
+    pytest.param(
+        [*_EVOLVE_SMALL, "--env", "ale:space invaders"],
+        {"run.cfg": f"ale_server = {_ERR_SERVER}\n"},
+        cli.EXIT_CONFIG, id="evolve-rom-space"),
+    pytest.param(
+        [*_EVOLVE_SMALL, "--env", "ale:"],
+        {"run.cfg": f"ale_server = {_ERR_SERVER}\n"},
+        cli.EXIT_CONFIG, id="evolve-rom-empty"),
+    pytest.param(
+        [*_EVOLVE_SMALL, "--env", "ale:pöng"],
+        {"run.cfg": f"ale_server = {_ERR_SERVER}\n"},
+        cli.EXIT_CONFIG, id="evolve-rom-not-ascii"),
+    pytest.param(
+        [*_EVOLVE_SMALL, "--env", "ale:po\x7fng"],
+        {"run.cfg": f"ale_server = {_ERR_SERVER}\n"},
+        cli.EXIT_CONFIG, id="evolve-rom-not-printable"),
+    # a NUL byte in out_dir ended in a traceback, and one in ale_server
+    # failed as an environment error
+    pytest.param(
+        ["evolve", "--config", "{tmp}/run.cfg"],
+        {"run.cfg": "out_dir = a\0b\n"},
+        cli.EXIT_CONFIG, id="evolve-out-dir-nul"),
+    pytest.param(
+        _EVOLVE_SMALL,
+        {"run.cfg": f"env = ale:pong\nale_server = {_ERR_SERVER}\0\n"},
+        cli.EXIT_CONFIG, id="evolve-ale-server-nul"),
     # an empty override is a value like any other, not a missing one
     pytest.param(
         ["evolve", "--env", "", "--out", "{tmp}/run"], {},

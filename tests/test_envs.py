@@ -8,6 +8,7 @@ import pytest
 import pixelcgp
 from pixelcgp.envs import (Catch, EnvError, FrameSkip, episode_seeds,
                            make_env, run_episode)
+from pixelcgp.evolution import evaluate
 from pixelcgp.genome import decode
 
 from catch_tracker import build_tracker
@@ -137,22 +138,36 @@ def test_episode_seeds_are_stable_and_distinct():
 
 def test_run_episode_tracker_scores_ten():
     prog = decode(build_tracker())
-    assert run_episode(prog, Catch(), 0, p_fskip=0.0) == 10.0
+    assert run_episode(prog, Catch(), 0, p_fskip=0.0, frame_cap=18000) == 10.0
 
 
 def test_run_episode_frame_cap():
     prog = decode(build_tracker())
     frames = []
     total = run_episode(prog, Catch(), 0, p_fskip=0.0, frame_cap=30,
-                        on_frame=lambda i, a, r, p: frames.append(i))
+                        on_frame=lambda e, i, a, r, p: frames.append(i))
     assert frames == list(range(30))
     assert total == 2.0  # only 2 balls are judged in 30 frames, both caught
 
 
+def test_on_frame_is_told_its_episode():
+    # evaluate used to bind each episode's index to on_frame itself, as
+    # run_episode passed none
+    prog = decode(build_tracker())
+    seen = []
+    run_episode(prog, Catch(), 0, episode=3, p_fskip=0.25, frame_cap=7,
+                on_frame=lambda e, i, a, r, p: seen.append((e, i)))
+    assert seen == [(3, i) for i in range(7)]
+    seen.clear()
+    evaluate(build_tracker(), Catch(), 2, 0, p_fskip=0.25, frame_cap=7,
+             on_frame=lambda e, i, a, r, p: seen.append((e, i)))
+    assert seen == [(e, i) for e in (0, 1) for i in range(7)]
+
+
 def test_run_episode_is_repeatable_with_skip():
     prog = decode(build_tracker())
-    a = run_episode(prog, Catch(), 11, p_fskip=0.25)
-    b = run_episode(prog, Catch(), 11, p_fskip=0.25)
+    a = run_episode(prog, Catch(), 11, p_fskip=0.25, frame_cap=18000)
+    b = run_episode(prog, Catch(), 11, p_fskip=0.25, frame_cap=18000)
     assert a == b
 
 

@@ -70,8 +70,8 @@ def test_elite_seed_reproduces_logged_fitness():
 def test_evaluate_deterministic():
     genome = random_genome(3, 3, 10, 0.1, np.random.default_rng(3))
     from pixelcgp.envs import Catch
-    a = evaluate(genome, Catch(), 2, 42, p_fskip=0.25)
-    b = evaluate(genome, Catch(), 2, 42, p_fskip=0.25)
+    a = evaluate(genome, Catch(), 2, 42, p_fskip=0.25, frame_cap=18000)
+    b = evaluate(genome, Catch(), 2, 42, p_fskip=0.25, frame_cap=18000)
     assert a == b
 
 
