@@ -38,10 +38,13 @@ class Failure(BaseException):
 
 def _stop(signum, frame):
     # raised inside subprocess, where a server is being started or released,
-    # the stop would orphan that server or be swallowed by a finalizer, so
-    # the main thread is sent the signal again shortly instead
+    # the stop would orphan that server or be swallowed by a finalizer, and
+    # inside _record it could leave best.cgp, best.seed and log.txt's last
+    # line from different elites, so the main thread is sent the signal
+    # again shortly instead
     while frame is not None:
-        if frame.f_globals.get("__name__") == "subprocess":
+        if (frame.f_globals.get("__name__") == "subprocess"
+                or frame.f_code is _record.__code__):
             threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
                             (threading.main_thread().ident, signum)).start()
             return
@@ -107,16 +110,26 @@ _load_genome = _fails_as(EXIT_GENOME, OSError, ValueError)(
     persist.load_genome)
 
 
+def _record(state, log_fh, out_dir, saved):
+    """Record one generation of evolve: best.cgp and best.seed when the
+    elite is not `saved`, the one they last held, then the log line.
+    Returns the elite they now hold. The first call, with saved None,
+    empties a previous run's log.txt and always saves."""
+    if saved is None:
+        log_fh.truncate(0)
+    if state.elite is not saved:
+        persist.save_elite(out_dir, state.elite, state.elite_seed)
+    print(state.line(), file=log_fh)
+    return state.elite
+
+
 def cmd_evolve(args) -> None:
     cfg = _load_config(args)
-    fresh = True
+    saved = None
 
-    def log(line: str) -> None:
-        nonlocal fresh
-        if fresh:   # a previous run's log.txt goes only now
-            log_fh.truncate(0)
-            fresh = False
-        print(line, file=log_fh)
+    def on_generation(state) -> None:
+        nonlocal saved
+        saved = _record(state, log_fh, cfg.out_dir, saved)
 
     # out_dir is a config key, so an output file that cannot be written is
     # a config error, whenever it fails, log.txt's lines included
@@ -126,13 +139,7 @@ def cmd_evolve(args) -> None:
         # each generation's line reaches the file as it is logged
         with open(os.path.join(cfg.out_dir, "log.txt"), "a",
                   buffering=1) as log_fh, _fails_as(EXIT_ENV, envs.EnvError):
-            state = evolution.run_evolution(cfg, log_fn=log)
-        persist.save_genome(state.elite,
-                            os.path.join(cfg.out_dir, "best.cgp"))
-        # evaluation seed of the recorded fitness; replay with
-        # --seed $(cat best.seed)
-        with open(os.path.join(cfg.out_dir, "best.seed"), "w") as fh:
-            fh.write(f"{state.elite_seed}\n")
+            state = evolution.run_evolution(cfg, on_generation=on_generation)
     with _fails_as(EXIT_PIPE, OSError):
         print(f"best {state.elite_fitness} evals {state.evaluations_used}")
 

@@ -13,9 +13,9 @@ Evaluation is deterministic given (genome, eval seed). Each offspring slot
 gets its own integer eval seed derived from (run seed, generation,
 offspring index), so every generation faces fresh episodes but any logged
 fitness can be reproduced later from the genome and that one integer; the
-elite's seed travels in the run state. Offspring of one generation may be
-evaluated in parallel worker processes; results are merged in offspring
-order, so serial and parallel runs log identically.
+elite's seed travels in the state each generation's hook gets. Offspring
+of one generation may be evaluated in parallel worker processes; results
+are merged in offspring order, so serial and parallel runs log identically.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ class RunConfig:
             if not re.fullmatch("[!-~]+", self.env[4:]):
                 raise ValueError(f"env = {self.env!r}: the ROM name must be "
                                  "one printable ASCII token")
-            if not self.ale_server:
-                raise ValueError(f"env = {self.env} needs the ale_server key")
             try:   # the command line the bridge will run
-                shlex.split(self.ale_server)
+                argv = shlex.split(self.ale_server)
             except ValueError as exc:
                 raise ValueError(
                     f"ale_server = {self.ale_server}: {exc}") from exc
+            if not argv or not argv[0]:   # unset, or "" in a config file
+                raise ValueError(f"env = {self.env}: no program in ale_server")
         elif self.env not in envs.REGISTRY:
             raise ValueError(f"unknown environment {self.env!r}")
 
@@ -195,9 +195,9 @@ def _score_copy(config: RunConfig, genome: Genome, env, seed: int) -> float:
 
 
 def run_evolution(config: RunConfig, workers: int = 1,
-                  log_fn=None) -> EvolutionState:
+                  on_generation=None) -> EvolutionState:
     """Full 1+lambda run; returns the final state, whose elite is the best
-    genome. log_fn, if given, gets each generation's line, from 0 on.
+    genome. on_generation, if given, gets the live state from generation 0 on.
 
     The genome has one input per observation plane and one output per
     action of the config's environment. The env is built once, here, and
@@ -216,8 +216,8 @@ def run_evolution(config: RunConfig, workers: int = 1,
         # then plays this episode
         state = EvolutionState(first, config.score(first, env, seed), seed,
                                evaluations_used=1)
-        if log_fn is not None:
-            log_fn(state.line())
+        if on_generation is not None:
+            on_generation(state)
         mapper, score = map, config.score
         if workers > 1:
             # the pool plays every later episode on copies of this env;
@@ -242,6 +242,6 @@ def run_evolution(config: RunConfig, workers: int = 1,
                 state.elite, state.elite_fitness, state.elite_seed = (
                     offspring[best_i], fits[best_i], seeds[best_i])
             state.generation = gen
-            if log_fn is not None:
-                log_fn(state.line())
+            if on_generation is not None:
+                on_generation(state)
         return state

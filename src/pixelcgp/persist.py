@@ -9,10 +9,17 @@ Genes are printed with 17 significant digits so parse(serialize(g)) is
 bit-exact. Config files are flat ``key = value`` lines; blank lines and
 ``#`` comments are ignored, and unknown or repeated keys are rejected.
 A malformed file of either kind raises ValueError.
+
+A run's elite is the pair best.cgp, its genome, and best.seed, the eval
+seed of its logged fitness as one decimal line. Both, like every genome
+file, are written to `<path>.tmp` and renamed over `<path>`, so a reader
+never sees part of one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -46,9 +53,29 @@ def parse_genome(text: str) -> Genome:
     return Genome(genes, n_input, n_output, C, r)
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write text to path through a temp file and os.replace; a failed
+    write removes its temp file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_genome(genome: Genome, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_genome(genome))
+    _write_atomic(path, serialize_genome(genome))
+
+
+def save_elite(out_dir, genome: Genome, eval_seed: int) -> None:
+    """Record a run's elite in out_dir: replaying best.cgp with
+    --seed $(cat best.seed) reproduces its logged fitness."""
+    save_genome(genome, os.path.join(out_dir, "best.cgp"))
+    _write_atomic(os.path.join(out_dir, "best.seed"), f"{eval_seed}\n")
 
 
 def load_genome(path) -> Genome:

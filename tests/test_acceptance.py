@@ -111,15 +111,17 @@ def test_criterion_05_evolution_invariants():
     gens_ok = RunConfig(lam=9, n_eval=10000).generations == 1112
     cfg = RunConfig(c=10, lam=9, n_eval=90, seed=17)
     lines = []
-    run_evolution(cfg, log_fn=lines.append)
+    run_evolution(cfg, on_generation=lambda s: lines.append(s.line()))
     fits = [float(line.split()[-1]) for line in lines]
     monotone = all(b >= a for a, b in zip(fits, fits[1:]))
     identical = True
     for seed in range(5):
         small = RunConfig(c=10, lam=9, n_eval=18, seed=seed)
         serial, parallel = [], []
-        run_evolution(small, workers=1, log_fn=serial.append)
-        run_evolution(small, workers=9, log_fn=parallel.append)
+        run_evolution(small, workers=1,
+                      on_generation=lambda s: serial.append(s.line()))
+        run_evolution(small, workers=9,
+                      on_generation=lambda s: parallel.append(s.line()))
         if serial != parallel:
             identical = False
     _report(5, "evolution invariants",

@@ -12,6 +12,7 @@ import pytest
 import pixelcgp
 from pixelcgp import cli, functions, persist
 from pixelcgp.envs import Catch, register_env
+from pixelcgp.evolution import eval_seed_for
 from pixelcgp.genome import random_genome
 
 from catch_tracker import build_tracker
@@ -116,10 +117,14 @@ def test_bad_env_leaves_existing_run_alone(tmp_path, capsys):
     assert before["log.txt"]
     # an env typo used to truncate the previous run's log.txt, and so did
     # a server command shlex cannot split, as exit 3, and a server that is
-    # missing or rejects the handshake
+    # missing or rejects the handshake; a server command with an empty
+    # program name failed as exit 3
     for bad_keys, flags, code in (
             ("", ["--env", "ctach"], cli.EXIT_CONFIG),
             ('env = ale:pong\nale_server = "x\n', [], cli.EXIT_CONFIG),
+            ('env = ale:pong\nale_server = ""\n', [], cli.EXIT_CONFIG),
+            ("env = ale:pong\nale_server = ''\n", [], cli.EXIT_CONFIG),
+            ('env = ale:pong\nale_server = "" --x\n', [], cli.EXIT_CONFIG),
             ("env = ale:pong\nale_server = /no/such/server\n", [],
              cli.EXIT_ENV),
             (f"env = ale:pong\nale_server = {_ERR_SERVER}\n", [],
@@ -153,6 +158,81 @@ def test_overrides_replace_bad_file_values(tmp_path, capsys, file_keys,
         runs[name] = [(tmp_path / name / f).read_bytes()
                       for f in ("log.txt", "best.cgp", "best.seed")]
     assert runs["override"] == runs["file"]
+
+
+def _replayed_best(run, cfg, capsys) -> tuple[str, str]:
+    """The total a replay of run's best.cgp from best.seed prints, and the
+    last best in run's log.txt, as `total <best>`."""
+    seed = (run / "best.seed").read_text().strip()
+    capsys.readouterr()
+    assert cli.main(["replay", str(run / "best.cgp"), "--config", str(cfg),
+                     "--seed", seed]) == cli.EXIT_OK
+    total = capsys.readouterr().out.splitlines()[-1]
+    best = (run / "log.txt").read_text().splitlines()[-1].split()[-1]
+    return total, f"total {best}"
+
+
+def test_failed_rerun_keeps_the_elite_it_logged(tmp_path, capsys):
+    # a rerun whose emulator failed after generation 0 used to leave the
+    # previous run's best.cgp and best.seed beside its own log.txt
+    cfg, run = tmp_path / "run.cfg", tmp_path / "run"
+    cfg.write_text(_SMALL_RUN + "seed = 1\n")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_OK
+    # every reorder server after the first offers another action list
+    state = tmp_path / "state"
+    server = shlex.join([sys.executable, STUB, "reorder", str(state)])
+    cfg.write_text(f"{_SMALL_RUN}env = ale:pong\nale_server = {server}\n")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_ENV
+    assert len((run / "log.txt").read_text().splitlines()) == 1
+    # the elite is generation 0's genome, scored from its one eval seed;
+    # on this small game another elite's pair can replay to the same total
+    assert (run / "best.seed").read_text() == f"{eval_seed_for(0, 0, 0)}\n"
+    state.unlink()   # so that replay's one server is a first one
+    total, logged = _replayed_best(run, cfg, capsys)
+    assert total == logged
+
+
+def test_stop_between_the_pair_writes_waits_for_both(tmp_path, capsys,
+                                                     monkeypatch):
+    # a stop that landed after best.cgp was replaced, and before best.seed
+    # was, would leave one elite's genome beside another's seed
+    cfg, run = tmp_path / "run.cfg", tmp_path / "run"
+    cfg.write_text(_SMALL_RUN + "seed = 1\n")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_OK
+    replace, replaced = os.replace, []
+
+    def replace_then_stop(src, dst):
+        replace(src, dst)
+        replaced.append(dst)
+        if len(replaced) == 1:
+            signal.raise_signal(signal.SIGTERM)
+
+    monkeypatch.setattr(os, "replace", replace_then_stop)
+    # long enough to be still running when the stop is sent again
+    cfg.write_text("c = 10\nlambda = 2\nn_eval = 10000\n")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == 128 + signal.SIGTERM
+    assert replaced[:2] == [str(run / "best.cgp"), str(run / "best.seed")]
+    assert sorted(p.name for p in run.iterdir()) == [
+        "best.cgp", "best.seed", "log.txt"]
+    total, logged = _replayed_best(run, cfg, capsys)
+    assert total == logged
+
+
+@pytest.mark.parametrize("name", ["best.cgp", "best.seed"])
+def test_unwritable_elite_leaves_no_temp_file(tmp_path, capsys, name):
+    # the temp file is written, and its rename over a directory fails
+    cfg, run = tmp_path / "run.cfg", tmp_path / "run"
+    cfg.write_text(_SMALL_RUN)
+    (run / name).mkdir(parents=True)
+    (run / name / "x").write_text("")
+    assert cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(run)]) == cli.EXIT_CONFIG
+    assert {p.name for p in run.iterdir()} <= {
+        "best.cgp", "best.seed", "log.txt"}
 
 
 def _cli_cmd(*argv):
@@ -569,9 +649,9 @@ def _servers_marked(marker: str) -> list[int]:
 ])
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
                          ids=["SIGINT", "SIGTERM"])
-def test_signal_stops_with_one_line(tmp_path, env_keys, signum):
+def test_signal_stops_with_one_line(tmp_path, capsys, env_keys, signum):
     # SIGINT used to die by the signal with a traceback, SIGTERM with no
-    # line at all
+    # line at all; and a stopped run used to leave no best.cgp or best.seed
     cfg = tmp_path / "run.cfg"
     cfg.write_text(env_keys.format(marker=shlex.quote(str(tmp_path))))
     log = tmp_path / "run" / "log.txt"
@@ -589,6 +669,9 @@ def test_signal_stops_with_one_line(tmp_path, env_keys, signum):
     assert proc.returncode == 128 + signum
     assert err.decode().splitlines() == [
         f"stopped by {signal.Signals(signum).name}"]
+    assert _servers_marked(str(tmp_path)) == []
+    total, logged = _replayed_best(tmp_path / "run", cfg, capsys)
+    assert total == logged
     assert _servers_marked(str(tmp_path)) == []
 
 

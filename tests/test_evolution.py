@@ -104,7 +104,7 @@ def test_elite_fitness_is_monotone():
     register_env("count", _CountEnv)
     cfg = RunConfig(env="count", c=10, lam=4, n_eval=40, p_fskip=0.0, seed=5)
     lines = []
-    state = run_evolution(cfg, log_fn=lines.append)
+    state = run_evolution(cfg, on_generation=lambda s: lines.append(s.line()))
     fits = [float(line.split()[-1]) for line in lines]
     assert all(b >= a for a, b in zip(fits, fits[1:]))
     assert state.evaluations_used == 1 + 4 * cfg.generations
@@ -121,7 +121,7 @@ def test_neutral_drift_replaces_elite_on_ties():
     register_env("flat", _FlatEnv)
     cfg = RunConfig(env="flat", c=10, lam=4, n_eval=20, p_fskip=0.0, seed=6)
     lines = []
-    state = run_evolution(cfg, log_fn=lines.append)
+    state = run_evolution(cfg, on_generation=lambda s: lines.append(s.line()))
     assert state.elite_fitness == 0.0
     first = float(lines[0].split()[-1])
     assert first == 0.0
@@ -135,15 +135,17 @@ def test_serial_and_parallel_logs_match():
     lines_serial, lines_parallel = [], []
     for seed in range(3):
         cfg = RunConfig(c=10, lam=4, n_eval=12, seed=seed)
-        run_evolution(cfg, workers=1, log_fn=lines_serial.append)
-        run_evolution(cfg, workers=4, log_fn=lines_parallel.append)
+        run_evolution(cfg, workers=1,
+                      on_generation=lambda s: lines_serial.append(s.line()))
+        run_evolution(cfg, workers=4,
+                      on_generation=lambda s: lines_parallel.append(s.line()))
     assert lines_serial == lines_parallel
 
 
 def test_log_line_format():
     cfg = RunConfig(c=10, lam=2, n_eval=2, seed=0)
     lines = []
-    run_evolution(cfg, log_fn=lines.append)
+    run_evolution(cfg, on_generation=lambda s: lines.append(s.line()))
     assert lines[0].startswith("generation 0 evals 1 best ")
     assert lines[1].startswith("generation 1 evals 3 best ")
 
@@ -176,7 +178,8 @@ def test_ale_serial_and_parallel_logs_match(tmp_path):
         cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
                         ale_server=_counting_server(count))
         logs[workers] = []
-        run_evolution(cfg, workers=workers, log_fn=logs[workers].append)
+        run_evolution(cfg, workers=workers,
+                      on_generation=lambda s: logs[workers].append(s.line()))
         starts[workers] = len(count.read_text().splitlines())
     assert len({line.split()[-1] for line in logs[1]}) == 3
     assert logs[1] == logs[2]
@@ -236,11 +239,11 @@ def test_pooled_run_closes_the_parent_server_before_the_workers_start(
                     ale_server=_counting_server(pids))
     first_alive = []
 
-    def log(line):
-        if line.startswith("generation 1 "):
+    def on_generation(state):
+        if state.generation == 1:
             first_alive.append(_running(int(pids.read_text().split()[0])))
 
-    run_evolution(cfg, workers=2, log_fn=log)
+    run_evolution(cfg, workers=2, on_generation=on_generation)
     assert first_alive == [False]
 
 
