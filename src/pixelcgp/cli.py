@@ -2,7 +2,8 @@
 
 Each phase of a command names its exit code once (`_fails_as`); a failure
 leaves through `main` alone, which prints its one line and returns the code.
-A SIGINT or SIGTERM leaves the same way, as exit code 128 + its number."""
+A SIGINT or SIGTERM leaves the same way, as exit code 128 + its number; it
+waits while a server starts or stops, or while `persist` writes a file."""
 
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ EXIT_CONFIG = 2
 EXIT_ENV = 3
 EXIT_GENOME = 4
 
-# seconds before a stop that landed inside subprocess is sent again
+# seconds before a held stop is sent again
 _STOP_RETRY_S = 0.01
+# the timers that send held stops again, which main waits for
+_resends: list[threading.Timer] = []
 
 _PREFIX = {EXIT_PIPE: "output error: ", EXIT_CONFIG: "config error: ",
            EXIT_ENV: "environment error: ", EXIT_GENOME: "genome error: "}
@@ -39,14 +42,14 @@ class Failure(BaseException):
 def _stop(signum, frame):
     # raised inside subprocess, where a server is being started or released,
     # the stop would orphan that server or be swallowed by a finalizer, and
-    # inside _record it could leave best.cgp, best.seed and log.txt's last
-    # line from different elites, so the main thread is sent the signal
-    # again shortly instead
+    # inside persist it could leave the run's files from different elites,
+    # so the stop is held: the main thread is sent the signal again shortly
     while frame is not None:
-        if (frame.f_globals.get("__name__") == "subprocess"
-                or frame.f_code is _record.__code__):
-            threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
-                            (threading.main_thread().ident, signum)).start()
+        if frame.f_globals.get("__name__") in ("subprocess", persist.__name__):
+            timer = threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
+                                    (threading.main_thread().ident, signum))
+            _resends.append(timer)
+            timer.start()
             return
         frame = frame.f_back
     raise Failure(128 + signum, f"stopped by {signal.Signals(signum).name}")
@@ -110,36 +113,14 @@ _load_genome = _fails_as(EXIT_GENOME, OSError, ValueError)(
     persist.load_genome)
 
 
-def _record(state, log_fh, out_dir, saved):
-    """Record one generation of evolve: best.cgp and best.seed when the
-    elite is not `saved`, the one they last held, then the log line.
-    Returns the elite they now hold. The first call, with saved None,
-    empties a previous run's log.txt and always saves."""
-    if saved is None:
-        log_fh.truncate(0)
-    if state.elite is not saved:
-        persist.save_elite(out_dir, state.elite, state.elite_seed)
-    print(state.line(), file=log_fh)
-    return state.elite
-
-
 def cmd_evolve(args) -> None:
     cfg = _load_config(args)
-    saved = None
-
-    def on_generation(state) -> None:
-        nonlocal saved
-        saved = _record(state, log_fh, cfg.out_dir, saved)
-
-    # out_dir is a config key, so an output file that cannot be written is
-    # a config error, whenever it fails, log.txt's lines included
-    with _fails_as(EXIT_CONFIG, OSError):
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        # append mode empties nothing until this run logs generation 0;
-        # each generation's line reaches the file as it is logged
-        with open(os.path.join(cfg.out_dir, "log.txt"), "a",
-                  buffering=1) as log_fh, _fails_as(EXIT_ENV, envs.EnvError):
-            state = evolution.run_evolution(cfg, on_generation=on_generation)
+    # out_dir is a config key, so a file of the run that cannot be written
+    # is a config error, whenever it fails, the log's lines included
+    with _fails_as(EXIT_CONFIG, OSError), \
+            persist.open_run(cfg.out_dir) as record, \
+            _fails_as(EXIT_ENV, envs.EnvError):
+        state = evolution.run_evolution(cfg, on_generation=record)
     with _fails_as(EXIT_PIPE, OSError):
         print(f"best {state.elite_fitness} evals {state.evaluations_used}")
 
@@ -193,9 +174,15 @@ def main(argv=None) -> int:
     previous = {sig: signal.signal(sig, _stop)
                 for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
-        handler(args)
-        with _fails_as(EXIT_PIPE, OSError):
-            sys.stdout.flush()   # a bad stdout fails here, not at exit
+        try:
+            handler(args)
+            with _fails_as(EXIT_PIPE, OSError):
+                sys.stdout.flush()   # a bad stdout fails here, not at exit
+        finally:
+            # a stop held as the command ends is sent again after main
+            # would return: wait for it here, where _stop still handles it
+            while _resends:
+                _resends.pop(0).join()
     except Failure as failure:
         code, line = failure.args
         if code == EXIT_PIPE:

@@ -135,11 +135,13 @@ class Catch:
 
 
 class FrameSkip:
-    """Random action-repeat wrapper.
+    """Random action-repeat wrapper over one episode of env, which the
+    caller resets.
 
     Each frame is skipped with probability p_fskip: the previous action is
     replayed and the controller is not consulted. Skipped frames do not
-    count toward the frame cap, but their rewards accumulate.
+    count toward the frame cap, but their rewards accumulate. It keeps
+    what run_episode reads: the last action and the counted frames.
     """
 
     def __init__(self, env, p_fskip: float, rng: np.random.Generator):
@@ -148,13 +150,6 @@ class FrameSkip:
         self.rng = rng
         self.last_action = 0
         self.counted_frames = 0
-        self.skipped_frames = 0
-
-    def reset(self, seed) -> Observation:
-        self.last_action = 0
-        self.counted_frames = 0
-        self.skipped_frames = 0
-        return self.env.reset(seed)
 
     def step(self, action_fn) -> tuple[Observation, float, bool, bool]:
         """Advance one frame; action_fn is only called on non-skipped frames.
@@ -164,7 +159,6 @@ class FrameSkip:
         if self.p_fskip > 0.0 and self.rng.random() < self.p_fskip:
             action = self.last_action
             skipped = True
-            self.skipped_frames += 1
         else:
             action = action_fn()
             self.last_action = action
@@ -190,7 +184,7 @@ def run_episode(program: Program, env, eval_seed: int, episode: int = 0, *,
     """
     env_seed, skip_seed = episode_seeds(eval_seed, episode)
     skip = FrameSkip(env, p_fskip, np.random.default_rng(skip_seed))
-    obs = skip.reset(env_seed)
+    obs = env.reset(env_seed)
     program.reset()
     total = 0.0
     done = False

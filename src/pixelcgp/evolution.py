@@ -33,6 +33,10 @@ import numpy as np
 from . import bridge, envs
 from .genome import Genome, decode, random_genome
 
+# the most genes one generation may hold, 800 MB as float64: lambda
+# offspring of 4 * c node genes and up to one output gene per action each
+MAX_GENERATION_GENES = 10 ** 8
+
 
 @dataclass
 class RunConfig:
@@ -65,6 +69,13 @@ class RunConfig:
                 ("frame_cap", self.frame_cap, 1), ("seed", self.seed, 0)):
             if value < least:
                 raise ValueError(f"{key} = {value} must be at least {least}")
+        # a run that cannot hold one generation would fail only after
+        # evolve has written generation 0, or once memory runs out
+        genes = self.lam * (4 * self.c + bridge.N_GLOBAL_ACTIONS)
+        if genes > MAX_GENERATION_GENES:
+            raise ValueError(
+                f"lambda * (4 * c + {bridge.N_GLOBAL_ACTIONS}) = {genes} "
+                f"genes in a generation, over {MAX_GENERATION_GENES}")
         for key in ("m_nodes", "m_output", "r"):
             value = getattr(self, key)
             if not 0.0 <= value <= 1.0:
@@ -77,7 +88,7 @@ class RunConfig:
             value = getattr(self, key)
             if "\0" in value:
                 raise ValueError(f"{key} = {value!r} holds a NUL byte")
-        # a bad env would otherwise fail only after evolve opened log.txt
+        # a bad env would otherwise fail only after evolve opened its log
         if self.env.startswith("ale:"):
             # the ROM is the one token of the bridge's INIT line
             if not re.fullmatch("[!-~]+", self.env[4:]):

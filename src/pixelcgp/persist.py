@@ -10,10 +10,11 @@ bit-exact. Config files are flat ``key = value`` lines; blank lines and
 ``#`` comments are ignored, and unknown or repeated keys are rejected.
 A malformed file of either kind raises ValueError.
 
-A run's elite is the pair best.cgp, its genome, and best.seed, the eval
-seed of its logged fitness as one decimal line. Both, like every genome
-file, are written to `<path>.tmp` and renamed over `<path>`, so a reader
-never sees part of one.
+Only `open_run` writes evolve's run directory: log.txt, and the elite's
+pair, best.cgp, its genome, and best.seed, the eval seed of its logged
+fitness as one decimal line. The pair, like every genome file, is written
+to `<path>.tmp` and renamed over `<path>`, so a reader never sees part of
+one. The CLI holds a stop while this module writes.
 """
 
 from __future__ import annotations
@@ -71,11 +72,29 @@ def save_genome(genome: Genome, path) -> None:
     _write_atomic(path, serialize_genome(genome))
 
 
-def save_elite(out_dir, genome: Genome, eval_seed: int) -> None:
-    """Record a run's elite in out_dir: replaying best.cgp with
-    --seed $(cat best.seed) reproduces its logged fitness."""
-    save_genome(genome, os.path.join(out_dir, "best.cgp"))
-    _write_atomic(os.path.join(out_dir, "best.seed"), f"{eval_seed}\n")
+@contextlib.contextmanager
+def open_run(out_dir):
+    """Make evolve's run directory if missing, and yield record(state),
+    which writes one generation: the pair when state.elite is not the one
+    it holds, then the log line, which reaches the file at once. The first
+    record empties a previous run's log.txt, which is kept until then, and
+    always writes the pair. Replaying best.cgp with --seed $(cat best.seed)
+    reproduces the last logged fitness."""
+    os.makedirs(out_dir, exist_ok=True)
+    saved = None   # the elite the pair holds
+    with open(os.path.join(out_dir, "log.txt"), "a", buffering=1) as log_fh:
+        def record(state) -> None:
+            nonlocal saved
+            if saved is None:
+                log_fh.truncate(0)
+            if state.elite is not saved:
+                save_genome(state.elite, os.path.join(out_dir, "best.cgp"))
+                _write_atomic(os.path.join(out_dir, "best.seed"),
+                              f"{state.elite_seed}\n")
+                saved = state.elite
+            print(state.line(), file=log_fh)
+
+        yield record
 
 
 def load_genome(path) -> Genome:

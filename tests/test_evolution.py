@@ -9,7 +9,9 @@ import pytest
 
 import pixelcgp
 from pixelcgp.envs import N_INPUT_PLANES, EnvError, register_env
-from pixelcgp.evolution import (RunConfig, eval_seed_for, evaluate, mutate,
+from pixelcgp.bridge import N_GLOBAL_ACTIONS
+from pixelcgp.evolution import (MAX_GENERATION_GENES, RunConfig,
+                                eval_seed_for, evaluate, mutate,
                                 run_evolution)
 from pixelcgp.genome import random_genome
 
@@ -20,6 +22,17 @@ def test_generation_count():
     assert RunConfig(lam=9, n_eval=10000).generations == 1112
     assert RunConfig(lam=9, n_eval=9).generations == 1
     assert RunConfig(lam=9, n_eval=10).generations == 2
+
+
+def test_generation_gene_bound():
+    # building a config allocates nothing, so both sides of the bound are
+    # safe to construct
+    for lam, c in ((1, (MAX_GENERATION_GENES - N_GLOBAL_ACTIONS) // 4),
+                   (MAX_GENERATION_GENES // (4 * 40 + N_GLOBAL_ACTIONS), 40)):
+        RunConfig(lam=lam, c=c)
+        for over in (dict(lam=lam, c=c + 1), dict(lam=lam + 1, c=c)):
+            with pytest.raises(ValueError, match="genes in a generation"):
+                RunConfig(**over)
 
 
 def test_mutation_counts_exact():
