@@ -3,7 +3,8 @@
 Each phase of a command names its exit code once (`_fails_as`); a failure
 leaves through `main` alone, which prints its one line and returns the code.
 A SIGINT or SIGTERM leaves the same way, as exit code 128 + its number; it
-waits while a server starts or stops, or while `persist` writes a file."""
+waits while a server starts or stops, or while `persist` writes a file, and
+a command stops once: a stop that arrives while it unwinds is ignored."""
 
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ EXIT_GENOME = 4
 
 # seconds before a held stop is sent again
 _STOP_RETRY_S = 0.01
-# the timers that send held stops again, which main waits for
-_resends: list[threading.Timer] = []
+# the timer that sends the last held stop again, which main waits for
+_resend: threading.Timer | None = None
 
 _PREFIX = {EXIT_PIPE: "output error: ", EXIT_CONFIG: "config error: ",
            EXIT_ENV: "environment error: ", EXIT_GENOME: "genome error: "}
@@ -43,15 +44,23 @@ def _stop(signum, frame):
     # raised inside subprocess, where a server is being started or released,
     # the stop would orphan that server or be swallowed by a finalizer, and
     # inside persist it could leave the run's files from different elites,
-    # so the stop is held: the main thread is sent the signal again shortly
+    # so the stop is held: the main thread is sent the signal again shortly,
+    # once for all the stops held meanwhile, as the last one
+    global _resend
     while frame is not None:
         if frame.f_globals.get("__name__") in ("subprocess", persist.__name__):
-            timer = threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
-                                    (threading.main_thread().ident, signum))
-            _resends.append(timer)
-            timer.start()
+            if _resend is not None:
+                _resend.cancel()
+            _resend = threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
+                                      (threading.main_thread().ident, signum))
+            _resend.start()
             return
         frame = frame.f_back
+    # the command stops once: a later stop would cut its clean-up short, so
+    # it is dropped until main restores the previous handlers. Nothing starts
+    # a server while a command unwinds, so no process inherits SIG_IGN.
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_IGN)
     raise Failure(128 + signum, f"stopped by {signal.Signals(signum).name}")
 
 
@@ -181,8 +190,8 @@ def main(argv=None) -> int:
         finally:
             # a stop held as the command ends is sent again after main
             # would return: wait for it here, where _stop still handles it
-            while _resends:
-                _resends.pop(0).join()
+            if _resend is not None:
+                _resend.join()
     except Failure as failure:
         code, line = failure.args
         if code == EXIT_PIPE:

@@ -1,6 +1,8 @@
 """The 53-entry mixed-type node function set.
 
-Every function accepts any combination of scalar and matrix operands.
+Each row of _TABLE names a function, the operands it reads ("xy", "x", "y"
+or none; decode follows only those), its kernel, and whether it needs a
+matrix x. Every function accepts any combination of scalar and matrix operands.
 Broadcasting functions apply their scalar formula element-wise (two-matrix
 operands are first cropped to their common top-left block). Non-broadcasting
 functions that require matrix input act as a wire when x is scalar: the
@@ -44,15 +46,14 @@ _EXP_DEN = math.e - 1.0
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    id: int
     name: str
     impl: Callable[[Value, Value, float], Value] = field(repr=False)
-    needs_matrix: bool = False   # wire-through when x is scalar
+    needs_matrix: bool   # wire-through when x is scalar
     # on operands and p that are finite and in [-1, 1], every matrix result
     # is finite and in [-1, 1], so apply only scales it by p (see _CLOSED)
-    closed: bool = False
-    trace_x: bool = True
-    trace_y: bool = False
+    closed: bool
+    trace_x: bool   # the function reads x, so decode walks to it
+    trace_y: bool   # the function reads y
 
 
 def _unit(g: float) -> float:
@@ -495,81 +496,72 @@ _CLOSED |= {name for name, (kernel, endpoints) in _ENDPOINTS.items()
             if _kernel_stays_closed(kernel, endpoints)}
 
 
-def _spec(fid, name, arity, impl, *, needs_matrix=False,
-          trace_x=None, trace_y=None) -> FunctionSpec:
-    if trace_x is None:
-        trace_x = arity >= 1
-    if trace_y is None:
-        trace_y = arity >= 2
-    return FunctionSpec(fid, name, impl, needs_matrix=needs_matrix,
-                        closed=name in _CLOSED,
-                        trace_x=trace_x, trace_y=trace_y)
-
-
+# function_from_gene picks a row by its position
 _TABLE = [
     # mathematical
-    ("ADD", 2, _add, {}),
-    ("AMINUS", 2, _aminus, {}),
-    ("MULT", 2, _mult, {}),
-    ("CMULT", 1, _cmult, {}),
-    ("INV", 1, _inv, {}),
-    ("ABS", 1, _abs, {}),
-    ("SQRT", 1, _sqrt, {}),
-    ("CPOW", 1, _cpow, {}),
-    ("YPOW", 2, _ypow, {}),
-    ("EXPX", 1, _expx, {}),
-    ("SINX", 1, _sinx, {}),
-    ("SQRTXY", 2, _sqrtxy, {}),
-    ("ACOS", 1, _acos, {}),
-    ("ASIN", 1, _asin, {}),
-    ("ATAN", 1, _atan, {}),
+    ("ADD", "xy", _add, False),
+    ("AMINUS", "xy", _aminus, False),
+    ("MULT", "xy", _mult, False),
+    ("CMULT", "x", _cmult, False),
+    ("INV", "x", _inv, False),
+    ("ABS", "x", _abs, False),
+    ("SQRT", "x", _sqrt, False),
+    ("CPOW", "x", _cpow, False),
+    ("YPOW", "xy", _ypow, False),
+    ("EXPX", "x", _expx, False),
+    ("SINX", "x", _sinx, False),
+    ("SQRTXY", "xy", _sqrtxy, False),
+    ("ACOS", "x", _acos, False),
+    ("ASIN", "x", _asin, False),
+    ("ATAN", "x", _atan, False),
     # statistical
-    ("STDDEV", 1, _stddev, {"needs_matrix": True}),
-    ("SKEW", 1, _skew, {"needs_matrix": True}),
-    ("KURTOSIS", 1, _kurtosis, {"needs_matrix": True}),
-    ("MEAN", 1, _mean, {"needs_matrix": True}),
-    ("RANGE", 1, _range, {"needs_matrix": True}),
-    ("ROUND", 1, _round, {"needs_matrix": True}),
-    ("CEIL", 1, _ceil, {"needs_matrix": True}),
-    ("FLOOR", 1, _floor, {"needs_matrix": True}),
-    ("MAX1", 1, _max1, {"needs_matrix": True}),
-    ("MIN1", 1, _min1, {"needs_matrix": True}),
+    ("STDDEV", "x", _stddev, True),
+    ("SKEW", "x", _skew, True),
+    ("KURTOSIS", "x", _kurtosis, True),
+    ("MEAN", "x", _mean, True),
+    ("RANGE", "x", _range, True),
+    ("ROUND", "x", _round, True),
+    ("CEIL", "x", _ceil, True),
+    ("FLOOR", "x", _floor, True),
+    ("MAX1", "x", _max1, True),
+    ("MIN1", "x", _min1, True),
     # comparison
-    ("LT", 2, _lt, {}),
-    ("GT", 2, _gt, {}),
-    ("MAX2", 2, _max2, {}),
-    ("MIN2", 2, _min2, {}),
+    ("LT", "xy", _lt, False),
+    ("GT", "xy", _gt, False),
+    ("MAX2", "xy", _max2, False),
+    ("MIN2", "xy", _min2, False),
     # list processing
-    ("SPLIT_BEFORE", 1, _split_before, {"needs_matrix": True}),
-    ("SPLIT_AFTER", 1, _split_after, {"needs_matrix": True}),
-    ("RANGE_IN", 2, _range_in, {"needs_matrix": True}),
-    ("INDEX_Y", 2, _index_y, {"needs_matrix": True}),
-    ("INDEX_P", 1, _index_p, {"needs_matrix": True}),
-    ("VECTORIZE", 1, _vectorize, {"needs_matrix": True}),
-    ("FIRST", 1, _first, {"needs_matrix": True}),
-    ("LAST", 1, _last, {"needs_matrix": True}),
-    ("DIFFERENCES", 1, _differences, {"needs_matrix": True}),
-    ("AVG_DIFFERENCES", 1, _avg_differences, {"needs_matrix": True}),
-    ("ROTATE", 1, _rotate, {"needs_matrix": True}),
-    ("REVERSE", 1, _reverse, {"needs_matrix": True}),
-    ("PUSH_BACK", 2, _push_back, {}),
-    ("PUSH_FRONT", 2, _push_front, {}),
-    ("SET", 2, _set, {}),
-    ("SUM", 1, _sum, {"needs_matrix": True}),
-    ("TRANSPOSE", 1, _transpose, {"needs_matrix": True}),
-    ("VECFROMDOUBLE", 1, _vecfromdouble, {}),
+    ("SPLIT_BEFORE", "x", _split_before, True),
+    ("SPLIT_AFTER", "x", _split_after, True),
+    ("RANGE_IN", "xy", _range_in, True),
+    ("INDEX_Y", "xy", _index_y, True),
+    ("INDEX_P", "x", _index_p, True),
+    ("VECTORIZE", "x", _vectorize, True),
+    ("FIRST", "x", _first, True),
+    ("LAST", "x", _last, True),
+    ("DIFFERENCES", "x", _differences, True),
+    ("AVG_DIFFERENCES", "x", _avg_differences, True),
+    ("ROTATE", "x", _rotate, True),
+    ("REVERSE", "x", _reverse, True),
+    ("PUSH_BACK", "xy", _push_back, False),
+    ("PUSH_FRONT", "xy", _push_front, False),
+    ("SET", "xy", _set, False),
+    ("SUM", "x", _sum, True),
+    ("TRANSPOSE", "x", _transpose, True),
+    ("VECFROMDOUBLE", "x", _vecfromdouble, False),
     # miscellaneous
-    ("YWIRE", 1, _ywire, {"trace_x": False, "trace_y": True}),
-    ("NOP", 1, _nop, {}),
-    ("CONST", 0, _const, {}),
-    ("CONSTVECTORD", 1, _constvectord, {"needs_matrix": True}),
-    ("ZEROS", 1, _zeros, {"needs_matrix": True}),
-    ("ONES", 1, _ones, {"needs_matrix": True}),
+    ("YWIRE", "y", _ywire, False),
+    ("NOP", "x", _nop, False),
+    ("CONST", "", _const, False),
+    ("CONSTVECTORD", "x", _constvectord, True),
+    ("ZEROS", "x", _zeros, True),
+    ("ONES", "x", _ones, True),
 ]
 
 FUNCTIONS: list[FunctionSpec] = [
-    _spec(i, name, arity, impl, **kw)
-    for i, (name, arity, impl, kw) in enumerate(_TABLE)
+    FunctionSpec(name, impl, needs_matrix, closed=name in _CLOSED,
+                 trace_x="x" in reads, trace_y="y" in reads)
+    for name, reads, impl, needs_matrix in _TABLE
 ]
 
 N_FUNCTIONS = len(FUNCTIONS)

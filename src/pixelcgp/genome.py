@@ -134,9 +134,9 @@ class Program:
 
 def decode(genome: Genome) -> Program:
     """Walk from the outputs through the connections each function reads
-    (x for arity 1, both for arity 2, y alone for YWIRE, none for arity 0),
-    decoding a node's genes when the walk first reaches it. Visited marking
-    makes the walk terminate on recurrent cycles."""
+    (the operands its row in functions._TABLE names), decoding a node's
+    genes when the walk first reaches it. Visited marking makes the walk
+    terminate on recurrent cycles."""
     n_input, N, r = genome.n_input, genome.n_nodes, genome.r
     genes = genome.genes
     outputs = [int(g * N) for g in genes[: genome.n_output]]

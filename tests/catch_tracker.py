@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pixelcgp.functions import FUNCTIONS_BY_NAME, N_FUNCTIONS
+from pixelcgp.functions import FUNCTIONS, FUNCTIONS_BY_NAME, N_FUNCTIONS
 from pixelcgp.genome import Genome, decode
 
 GRID = 12
@@ -48,7 +48,7 @@ class _Builder:
         idx = self.next_index
         if xi >= idx or yi >= idx:
             raise ValueError("connections must point at lower nodes")
-        self.rows.append((xi, yi, FUNCTIONS_BY_NAME[name].id, p))
+        self.rows.append((xi, yi, FUNCTIONS.index(FUNCTIONS_BY_NAME[name]), p))
         return idx
 
     def genome(self, outputs: list[int], r: float = 1.0) -> Genome:
@@ -90,7 +90,7 @@ def build_tracker() -> Genome:
     assert len(program.plan) == len(b.rows)   # every node is active
     for n, spec, xi, yi, p in program.plan:
         want = b.rows[n - N_INPUT]
-        assert (xi, yi, spec.id) == want[:3]
+        assert (xi, yi, FUNCTIONS.index(spec)) == want[:3]
         assert abs(p - want[3]) < 1e-12
     assert program.outputs == [blue, chain, neg]
     return genome

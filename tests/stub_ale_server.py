@@ -28,12 +28,23 @@ Modes:
   baddone  reply to ACT with done flag 2, then a whole frame
   cutline  reply to ACT with a line cut off before its newline, and exit
   short    send a truncated frame and exit
+
+Tests start it through `command`, the shell command a config's ale_server
+holds, quoted so that a path with a space in it stays one word.
 """
 
 import os
+import shlex
 import signal
 import sys
 import time
+
+STUB = os.path.abspath(__file__)
+
+
+def command(mode, *args) -> str:
+    """The shell command that runs this stub in mode, with args after it."""
+    return shlex.join([sys.executable, STUB, mode, *map(str, args)])
 
 
 def main():

@@ -1,5 +1,3 @@
-import os
-import shlex
 import signal
 import subprocess
 import sys
@@ -15,11 +13,8 @@ from pixelcgp.evolution import RunConfig
 from pixelcgp.functions import FUNCTIONS_BY_NAME
 from pixelcgp.genome import Program
 
-STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
+from stub_ale_server import command
 
-
-def _cmd(mode):
-    return f"{sys.executable} {STUB} {mode}"
 
 
 def test_action_table():
@@ -29,7 +24,7 @@ def test_action_table():
 
 
 def test_handshake_and_frames():
-    s = BridgeSession(_cmd("ok"), "pong")
+    s = BridgeSession(command("ok"), "pong")
     try:
         assert (s.width, s.height) == (4, 3)
         assert s.legal_actions == [0, 3, 4]
@@ -46,14 +41,14 @@ def test_handshake_and_frames():
 
 def test_handshake_rejection():
     with pytest.raises(EnvError, match="rejected"):
-        BridgeSession(_cmd("err"), "pong")
+        BridgeSession(command("err"), "pong")
 
 
 @pytest.mark.parametrize("mode", ["empty", "negative", "huge"])
 def test_handshake_screen_size_bounded(mode):
     # a 0x0 screen gave empty planes; a negative or huge one reached read()
     with pytest.raises(EnvError, match="screen size"):
-        BridgeSession(_cmd(mode), "pong")
+        BridgeSession(command(mode), "pong")
 
 
 @pytest.mark.parametrize("mode, match", [
@@ -65,7 +60,7 @@ def test_handshake_screen_size_bounded(mode):
 ])
 def test_malformed_handshake(mode, match):
     with pytest.raises(EnvError, match=match):
-        BridgeSession(_cmd(mode), "pong")
+        BridgeSession(command(mode), "pong")
 
 
 def _spy_on_servers(monkeypatch) -> list:
@@ -90,20 +85,20 @@ def _released(proc) -> bool:
 def test_failed_handshake_releases_its_server(monkeypatch, mode):
     started = _spy_on_servers(monkeypatch)
     with pytest.raises(EnvError):
-        BridgeSession(_cmd(mode), "pong")
+        BridgeSession(command(mode), "pong")
     assert len(started) == 1 and _released(started[0])
 
 
 def test_building_an_env_starts_no_server(monkeypatch):
     started = _spy_on_servers(monkeypatch)
-    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env = AleBridgeEnv(command("ok"), "pong")
     env.close()
     assert started == []
 
 
 def test_action_count_session_serves_the_first_episode(monkeypatch):
     started = _spy_on_servers(monkeypatch)
-    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env = AleBridgeEnv(command("ok"), "pong")
     try:
         assert env.n_actions == 3
         env.reset()
@@ -117,7 +112,7 @@ def test_action_count_session_serves_the_first_episode(monkeypatch):
 def test_env_releases_every_server(monkeypatch):
     # one session per episode, and no action-count probe
     started = _spy_on_servers(monkeypatch)
-    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env = AleBridgeEnv(command("ok"), "pong")
     env.reset()
     env.reset()
     env.close()
@@ -126,13 +121,13 @@ def test_env_releases_every_server(monkeypatch):
 
 def test_close_kills_a_server_that_ignores_sigterm(monkeypatch):
     monkeypatch.setattr(bridge, "TERM_GRACE_S", 0.2)
-    s = BridgeSession(_cmd("stubborn"), "pong")
+    s = BridgeSession(command("stubborn"), "pong")
     s.close()
     assert _released(s.proc) and s.proc.returncode == -signal.SIGKILL
 
 
 def test_malformed_step_reply():
-    s = BridgeSession(_cmd("badline"), "pong")
+    s = BridgeSession(command("badline"), "pong")
     try:
         with pytest.raises(EnvError):
             s.act(0)
@@ -145,7 +140,7 @@ def test_malformed_step_reply():
                                          ("baddone", "malformed step reply")])
 def test_bad_reward_or_done_flag(mode, match):
     # a NaN reward used to become the run's fitness, and any integer its done
-    s = BridgeSession(_cmd(mode), "pong")
+    s = BridgeSession(command(mode), "pong")
     try:
         with pytest.raises(EnvError, match=match):
             s.act(0)
@@ -154,7 +149,7 @@ def test_bad_reward_or_done_flag(mode, match):
 
 
 def test_short_frame_read():
-    s = BridgeSession(_cmd("short"), "pong")
+    s = BridgeSession(command("short"), "pong")
     try:
         with pytest.raises(EnvError, match="short frame"):
             s.act(0)
@@ -163,7 +158,7 @@ def test_short_frame_read():
 
 
 def test_step_reply_cut_off_mid_line():
-    s = BridgeSession(_cmd("cutline"), "pong")
+    s = BridgeSession(command("cutline"), "pong")
     try:
         with pytest.raises(EnvError, match="mid-reply"):
             s.act(0)
@@ -172,7 +167,7 @@ def test_step_reply_cut_off_mid_line():
 
 
 def test_request_after_server_exit():
-    s = BridgeSession(_cmd("quit"), "pong")
+    s = BridgeSession(command("quit"), "pong")
     try:
         s.proc.wait(timeout=10)
         with pytest.raises(EnvError, match="pipe closed"):
@@ -194,7 +189,7 @@ def test_server_command_with_a_nul_byte():
 
 
 def test_env_adapter_maps_local_actions():
-    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env = AleBridgeEnv(command("ok"), "pong")
     try:
         assert env.n_actions == 3
         obs = env.reset()
@@ -213,7 +208,7 @@ def test_env_adapter_maps_local_actions():
 
 
 def test_env_adapter_fresh_session_per_reset():
-    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env = AleBridgeEnv(command("ok"), "pong")
     try:
         env.reset()
         first = env.session.proc.pid
@@ -226,8 +221,7 @@ def test_env_adapter_fresh_session_per_reset():
 def test_env_rejects_changed_action_list(tmp_path):
     # the server offers three actions at its first start, two after that;
     # the first session serves the first episode
-    state = shlex.quote(str(tmp_path / "started"))
-    env = AleBridgeEnv(f"{_cmd('shrink')} {state}", "pong")
+    env = AleBridgeEnv(command("shrink", tmp_path / "started"), "pong")
     try:
         assert env.n_actions == 3
         env.reset()
@@ -240,8 +234,7 @@ def test_env_rejects_changed_action_list(tmp_path):
 def test_env_rejects_reordered_action_list(tmp_path):
     # the same count in another order: local action 1 would have become
     # global 4 (LEFT) in the second episode instead of 3 (RIGHT)
-    state = shlex.quote(str(tmp_path / "started"))
-    env = AleBridgeEnv(f"{_cmd('reorder')} {state}", "pong")
+    env = AleBridgeEnv(command("reorder", tmp_path / "started"), "pong")
     try:
         env.reset()
         with pytest.raises(EnvError, match="action list changed"):
@@ -297,7 +290,7 @@ def test_skipped_frames_are_never_converted(monkeypatch):
 
     monkeypatch.setattr(Observation, "from_frame", classmethod(spy_from_frame))
     monkeypatch.setattr(envs.FrameSkip, "step", spy_step)
-    env = AleBridgeEnv(_cmd("long"), "pong")
+    env = AleBridgeEnv(command("long"), "pong")
     try:
         # no program nodes: the outputs are the three planes themselves
         run_episode(Program(3, 3, [0, 1, 2], []), env, 5, p_fskip=0.5,
@@ -311,7 +304,7 @@ def test_skipped_frames_are_never_converted(monkeypatch):
 
 
 def test_make_env_ale_route():
-    env = RunConfig(env="ale:pong", ale_server=_cmd("ok")).make_env()
+    env = RunConfig(env="ale:pong", ale_server=command("ok")).make_env()
     try:
         assert env.n_actions == 3
     finally:
@@ -319,7 +312,7 @@ def test_make_env_ale_route():
 
 
 def test_observation_values_unit_scaled():
-    env = AleBridgeEnv(_cmd("ok"), "pong")
+    env = AleBridgeEnv(command("ok"), "pong")
     try:
         obs = env.reset()
         for plane in obs.planes:

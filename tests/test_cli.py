@@ -16,10 +16,10 @@ from pixelcgp.evolution import eval_seed_for
 from pixelcgp.genome import random_genome
 
 from catch_tracker import build_tracker
+from stub_ale_server import STUB, command
 
-STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
 _SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
-_ERR_SERVER = shlex.join([sys.executable, STUB, "err"])
+_ERR_SERVER = command("err")
 
 
 def test_evolve_writes_outputs(tmp_path, capsys):
@@ -74,7 +74,7 @@ def test_evolve_then_replay_matches_logged_fitness(tmp_path, capsys,
 
 def test_evolve_ale_env(tmp_path, capsys):
     # ale_server used to stop at the CLI, so every ale:* evolve exited 3
-    server = shlex.join([sys.executable, STUB, "ok"])
+    server = command("ok")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"env = ale:pong\nale_server = {server}\nc = 10\n"
                    "n_eval = 4\nlambda = 2\nseed = 4\n")
@@ -181,7 +181,7 @@ def test_failed_rerun_keeps_the_elite_it_logged(tmp_path, capsys):
                      "--out", str(run)]) == cli.EXIT_OK
     # every reorder server after the first offers another action list
     state = tmp_path / "state"
-    server = shlex.join([sys.executable, STUB, "reorder", str(state)])
+    server = command("reorder", state)
     cfg.write_text(f"{_SMALL_RUN}env = ale:pong\nale_server = {server}\n")
     assert cli.main(["evolve", "--config", str(cfg),
                      "--out", str(run)]) == cli.EXIT_ENV
@@ -364,8 +364,8 @@ def test_export_dot_bad_file(tmp_path, capsys):
     assert cli.main(["export-dot", str(bad)]) == cli.EXIT_GENOME
 
 
-_SHORT_SERVER = shlex.join([sys.executable, STUB, "short"])
-_NAN_SERVER = shlex.join([sys.executable, STUB, "nanreward"])
+_SHORT_SERVER = command("short")
+_NAN_SERVER = command("nanreward")
 _HUGE_N_INPUT = "CGP1 10000000 1 0 0.5\n0.5\n"
 _EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
 _ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
@@ -633,7 +633,7 @@ def test_defect_during_play_is_a_traceback(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == ""
 
 
-_LINGER_SERVER = shlex.join([sys.executable, STUB, "linger"])
+_LINGER_SERVER = command("linger")
 
 
 def _servers_marked(marker: str) -> list[int]:
@@ -685,25 +685,36 @@ def test_signal_stops_with_one_line(tmp_path, capsys, env_keys, signum):
     assert _servers_marked(str(tmp_path)) == []
 
 
-def test_stop_inside_subprocess_is_sent_again(monkeypatch):
+def test_stop_inside_subprocess_is_sent_again(monkeypatch,
+                                              previous_handlers):
     # raised there, a stop orphaned a server being started, or vanished in
     # the Popen finalizer that ran when a session was dropped; raised in
     # persist, it could leave the run's files from different elites
     sent = []
     monkeypatch.setattr(signal, "pthread_kill",
                         lambda ident, signum: sent.append(signum))
-    monkeypatch.setattr(cli, "_resends", [])   # which main would wait for
-    for module in (subprocess, persist):
+    monkeypatch.setattr(cli, "_resend", None)   # which main would wait for
+    # long enough that the first re-send is still pending at the second stop
+    monkeypatch.setattr(cli, "_STOP_RETRY_S", 0.2)
+    timers = []
+    for module, signum in ((subprocess, signal.SIGTERM),
+                           (persist, signal.SIGINT)):
         frame = eval("__import__('sys')._getframe()", vars(module))
-        assert cli._stop(signal.SIGTERM, frame) is None
-    deadline = time.monotonic() + 10
-    while len(sent) < 2:
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
-    assert sent == [signal.SIGTERM] * 2 and len(cli._resends) == 2
+        assert cli._stop(signum, frame) is None
+        timers.append(cli._resend)
+    # one re-send is pending at a time: the last stop held replaces it
+    first, last = timers
+    assert first is not last and first.finished.is_set()
+    for timer in timers:
+        timer.join(timeout=10)
+        assert not timer.is_alive()
+    assert sent == [signal.SIGINT]
     with pytest.raises(cli.Failure) as stop:
         cli._stop(signal.SIGTERM, sys._getframe())
     assert stop.value.args == (143, "stopped by SIGTERM")
+    # the command stops once: later stops are dropped while it unwinds
+    assert {signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)
+            } == {signal.SIG_IGN}
 
 
 @pytest.fixture
@@ -754,7 +765,7 @@ def test_stop_held_in_the_last_server_close_is_reported(tmp_path, capsys,
                                                         previous_handlers):
     # a stop held while Popen.wait reaped the run's last server was sent
     # again after main had returned 0 and restored the previous handlers
-    server = shlex.join([sys.executable, STUB, "ok"])
+    server = command("ok")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"env = ale:pong\nale_server = {server}\nc = 10\n"
                    "lambda = 2\nn_eval = 2\n")
@@ -774,3 +785,52 @@ def test_stop_held_in_the_last_server_close_is_reported(tmp_path, capsys,
     assert len(reaped) == 3
     _assert_held_stop_reported(code, capsys, previous_handlers,
                                signal.SIGTERM)
+
+
+def test_two_stops_held_at_the_end_send_one(tmp_path, capsys, monkeypatch,
+                                            previous_handlers):
+    # each held stop started a re-send of its own: main joined the first,
+    # which raised, and the second reached the previous handler after main
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 10\nlambda = 2\nn_eval = 2\nseed = 1\n")
+    replace, replaced = os.replace, []
+
+    def replace_then_stop(src, dst):
+        replace(src, dst)
+        replaced.append(os.path.basename(dst))
+        if len(replaced) == 4:   # generation 1's best.seed
+            time.sleep(0.005)
+        if len(replaced) >= 3:   # and its best.cgp
+            signal.raise_signal(signal.SIGINT)
+
+    monkeypatch.setattr(os, "replace", replace_then_stop)
+    code = cli.main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    assert replaced == ["best.cgp", "best.seed"] * 2
+    _assert_held_stop_reported(code, capsys, previous_handlers,
+                               signal.SIGINT)
+
+
+def test_stop_while_a_stop_unwinds_is_ignored(tmp_path, capsys, monkeypatch,
+                                              previous_handlers):
+    # a second Ctrl-C while main printed the first one's line left main as
+    # an uncaught Failure: a traceback and exit 1 from the installed command
+    path = tmp_path / "g.cgp"
+    persist.save_genome(build_tracker(), path)
+    monkeypatch.setattr(cli, "export_dot",
+                        lambda genome: signal.raise_signal(signal.SIGINT))
+    err = sys.stderr
+
+    class StopAgainOnWrite:
+        def write(self, text):
+            if text.startswith("stopped by"):
+                signal.raise_signal(signal.SIGINT)
+            return err.write(text)
+
+        def __getattr__(self, name):
+            return getattr(err, name)
+
+    monkeypatch.setattr(sys, "stderr", StopAgainOnWrite())
+    code = cli.main(["export-dot", str(path)])
+    _assert_held_stop_reported(code, capsys, previous_handlers,
+                               signal.SIGINT)

@@ -15,7 +15,7 @@ from pixelcgp.evolution import (MAX_GENERATION_GENES, RunConfig,
                                 run_evolution)
 from pixelcgp.genome import random_genome
 
-STUB = os.path.join(os.path.dirname(__file__), "stub_ale_server.py")
+from stub_ale_server import command
 
 
 def test_generation_count():
@@ -177,9 +177,8 @@ def test_serial_run_closes_its_env():
 
 def _counting_server(path, mode="ok") -> str:
     """Stub server command that appends its PID to path on every start."""
-    stub = shlex.join([sys.executable, STUB, mode])
     return shlex.join(["sh", "-c", f"echo $$ >> {shlex.quote(str(path))}; "
-                                   f"exec {stub}"])
+                                   f"exec {command(mode)}"])
 
 
 def test_ale_serial_and_parallel_logs_match(tmp_path):
@@ -210,7 +209,7 @@ def test_pooled_run_checks_every_session_against_the_first(tmp_path, mode):
     # session set an action list of its own
     for workers in (1, 2):
         state = tmp_path / f"state{workers}"
-        server = shlex.join([sys.executable, STUB, mode, str(state)])
+        server = command(mode, state)
         cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
                         ale_server=server)
         with pytest.raises(EnvError, match="action list changed"):

@@ -185,7 +185,7 @@ def _planted_planes(rng):
 
 @pytest.mark.parametrize("spec", _CLOSED_SPECS, ids=lambda s: s.name)
 def test_closed_kernels_stay_in_range_at_atari_size(spec):
-    x, y = _planted_planes(np.random.default_rng(spec.id))
+    x, y = _planted_planes(np.random.default_rng(FUNCTIONS.index(spec)))
     pairs = [(x, y), (y, x), (x, y.T), (x.T, y)]
     pairs += [(x, e) for e in _EDGES] + [(e, y) for e in _EDGES]
     for a, b in pairs:
