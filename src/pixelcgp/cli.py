@@ -152,9 +152,8 @@ def cmd_replay(args) -> None:
                 print(f"node {n} {spec.name} {scalar_of(prog.state[n])}")
 
     with _fails_as(EXIT_ENV, envs.EnvError), \
-            _fails_as(EXIT_GENOME, evolution.GenomeMismatch), \
-            contextlib.closing(cfg.make_env()) as env:
-        total = cfg.score(genome, env, cfg.seed, on_frame=on_frame)
+            _fails_as(EXIT_GENOME, evolution.GenomeMismatch):
+        total = cfg.score(genome, cfg.make_env(), cfg.seed, on_frame=on_frame)
     with _fails_as(EXIT_PIPE, OSError):
         print(f"total {total}")
 

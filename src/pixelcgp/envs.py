@@ -5,10 +5,10 @@ step(action) -> (Observation, reward, done) and close(). Observations are
 three rows x cols pixel planes (red, green, blue) with elements in [0, 1],
 which feed straight into the [-1, 1] program domain without further scaling.
 close() releases what the env holds, such as an emulator server; it may be
-called more than once, and a later reset() still works. Whoever builds an
-env closes it; nothing closes an env it was handed. A closed env can be
-pickled: a pooled run plays each task on such a copy of its env, which the
-task owns and closes, and which keeps what the env learned from its first
+called more than once, and a later reset() still works. Every evaluation
+(RunConfig.score) closes the env it played on, so no emulator server
+outlives it. A closed env can be pickled: a pooled run plays each task on
+such a copy of its env, which keeps what the env learned from its first
 session, such as an emulator's action list. An env that fails
 (a violated contract, an emulator server that dies or misbehaves) raises
 EnvError; any other exception out of an env is a defect in pixelcgp.

@@ -21,7 +21,6 @@ are merged in offspring order, so serial and parallel runs log identically.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import re
@@ -119,10 +118,16 @@ class RunConfig:
         """genome's fitness under this run's protocol (episodes, p_fskip,
         frame_cap) from eval_seed, with on_frame as evaluate takes it.
         Evolution, its pool tasks and replay all score through here, so a
-        logged fitness replays exactly."""
-        return evaluate(genome, env, self.episodes, eval_seed,
-                        p_fskip=self.p_fskip, frame_cap=self.frame_cap,
-                        on_frame=on_frame)
+        logged fitness replays exactly. The evaluation closes env when it
+        ends, so no server outlives it. A fitness that is not finite, such
+        as rewards whose sum overflows, raises EnvError."""
+        with contextlib.closing(env):
+            fitness = evaluate(genome, env, self.episodes, eval_seed,
+                               p_fskip=self.p_fskip,
+                               frame_cap=self.frame_cap, on_frame=on_frame)
+        if not math.isfinite(fitness):
+            raise envs.EnvError(f"non-finite fitness {fitness}")
+        return fitness
 
 
 @dataclass
@@ -199,12 +204,6 @@ def evaluate(genome: Genome, environment, episodes_per_eval: int,
     return sum(totals) / len(totals)
 
 
-def _score_copy(config: RunConfig, genome: Genome, env, seed: int) -> float:
-    # a pool task's env is its own unpickled copy, so the task closes it
-    with contextlib.closing(env):
-        return config.score(genome, env, seed)
-
-
 def run_evolution(config: RunConfig, workers: int = 1,
                   on_generation=None) -> EvolutionState:
     """Full 1+lambda run; returns the final state, whose elite is the best
@@ -212,10 +211,10 @@ def run_evolution(config: RunConfig, workers: int = 1,
 
     The genome has one input per observation plane and one output per
     action of the config's environment. The env is built once, here, and
-    each generation maps one scorer over (offspring, env, eval seed). With
-    workers > 1 the env plays only generation 0 and is closed before the
-    pool starts; each pool task then plays on a pickled copy of the closed
-    env, which keeps its legal action list, and closes its copy when done.
+    each generation maps config.score, which closes the env after each
+    evaluation, over (offspring, env, eval seed). With workers > 1 each pool
+    task plays on a pickled copy of the closed env, which keeps its legal
+    action list. A run that stops before its first score closes it too.
     """
     rng = np.random.default_rng(config.seed)
     with contextlib.ExitStack() as stack:
@@ -224,21 +223,17 @@ def run_evolution(config: RunConfig, workers: int = 1,
                               config.c, config.r, rng)
         seed = eval_seed_for(config.seed, 0, 0)
         # scored here even with a pool: the session that answered n_actions
-        # then plays this episode
+        # then plays this episode, and the evaluation closes the env before
+        # the pool starts, so no worker inherits its server's pipes
         state = EvolutionState(first, config.score(first, env, seed), seed,
                                evaluations_used=1)
         if on_generation is not None:
             on_generation(state)
-        mapper, score = map, config.score
+        mapper = map
         if workers > 1:
-            # the pool plays every later episode on copies of this env;
-            # closed first, its server's pipes are not copied into the
-            # forked workers, and an open server could not be pickled
-            env.close()
             # only a pool loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             mapper = stack.enter_context(ProcessPoolExecutor(workers)).map
-            score = functools.partial(_score_copy, config)
         for gen in range(1, config.generations + 1):
             offspring = [
                 mutate(state.elite, config.m_nodes, config.m_output, rng)
@@ -246,7 +241,8 @@ def run_evolution(config: RunConfig, workers: int = 1,
             ]
             seeds = [eval_seed_for(config.seed, gen, i)
                      for i in range(config.lam)]
-            fits = list(mapper(score, offspring, itertools.repeat(env), seeds))
+            fits = list(mapper(config.score, offspring, itertools.repeat(env),
+                               seeds))
             state.evaluations_used += config.lam
             best_i = max(range(config.lam), key=lambda i: (fits[i], -i))
             if fits[best_i] >= state.elite_fitness:

@@ -24,6 +24,7 @@ Modes:
   long     as ok, but the episode ends after 40 ACTs
   badline  reply garbage to ACT
   nanreward reply to ACT with a NaN reward, then a whole frame
+  hugereward reply to every ACT with reward 1e308, whose sum overflows
   textreward reply to ACT with a reward that is not a number
   baddone  reply to ACT with done flag 2, then a whole frame
   cutline  reply to ACT with a line cut off before its newline, and exit
@@ -87,8 +88,8 @@ def main():
                 return
             action = int(parts[1])
             steps += 1
-            reward = {"nanreward": "nan", "textreward": "lots"}.get(
-                mode, f"{action}.5")
+            reward = {"nanreward": "nan", "textreward": "lots",
+                      "hugereward": "1e308"}.get(mode, f"{action}.5")
             done = 2 if mode == "baddone" else int(
                 steps >= (40 if mode == "long" else 3))
             out.write(f"R {reward} {done}\n".encode())

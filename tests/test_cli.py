@@ -249,6 +249,40 @@ def _replay_cmd(tmp_path, *flags):
     return _cli_cmd("replay", path, *flags)
 
 
+# the AVX-512 targets numpy may pick its float64 arccos, arcsin, arctan, exp
+# and power kernels from; they differ in the last bit on a few % of operands
+_RESTRICTED_DISPATCH = {"NPY_DISABLE_CPU_FEATURES":
+                        "X86_V4 AVX512_ICL AVX512_SPR"}
+_ARCCOS_TARGET = ("from numpy.lib.introspect import opt_func_info; "
+                  "info = opt_func_info('arccos', 'float64'); "
+                  "print(info['arccos']['dd']['current'])")
+
+
+def test_evolve_does_not_depend_on_simd_dispatch(tmp_path):
+    # numpy < 2 has no introspect
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    target = introspect.opt_func_info("arccos", "float64")["arccos"]["dd"]
+    if target["current"].startswith("baseline"):
+        pytest.skip(f"arccos already runs {target['current']}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 40\nlambda = 9\nn_eval = 900\nseed = 3\n")
+    files = []
+    for restrict in ({}, _RESTRICTED_DISPATCH):
+        out = tmp_path / f"run{len(files)}"
+        cmd, env = _cli_cmd("evolve", "--config", cfg, "--out", out)
+        env.update(restrict)
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+        files.append([(out / name).read_bytes()
+                      for name in ("log.txt", "best.cgp", "best.seed")])
+    # the restricted run ran the baseline kernels, so the two runs compared
+    # two dispatch targets
+    probe = subprocess.run([sys.executable, "-c", _ARCCOS_TARGET],
+                           env={**os.environ, **_RESTRICTED_DISPATCH},
+                           check=True, capture_output=True, text=True).stdout
+    assert probe.startswith("baseline")
+    assert files[0] == files[1]
+
+
 def test_replay_into_closed_pipe_is_quiet(tmp_path):
     # `replay ... | head -1` used to report an environment error, exit 3
     cmd, env = _replay_cmd(tmp_path, "--trace")
@@ -366,6 +400,7 @@ def test_export_dot_bad_file(tmp_path, capsys):
 
 _SHORT_SERVER = command("short")
 _NAN_SERVER = command("nanreward")
+_HUGE_REWARD_SERVER = command("hugereward")
 _HUGE_N_INPUT = "CGP1 10000000 1 0 0.5\n0.5\n"
 _EVOLVE_SMALL = ["evolve", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]
 _ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
@@ -395,6 +430,12 @@ _ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
         {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n",
          "run.cfg": f"env = ale:pong\nale_server = {_NAN_SERVER}\n"},
         cli.EXIT_ENV, id="replay-nan-reward"),
+    # finite rewards whose sum overflows: every generation logged best inf
+    pytest.param(
+        _EVOLVE_SMALL,
+        {"run.cfg": f"{_SMALL_RUN}env = ale:pong\n"
+                    f"ale_server = {_HUGE_REWARD_SERVER}\n"},
+        cli.EXIT_ENV, id="evolve-overflowing-fitness"),
     pytest.param(
         ["replay", "{tmp}/g.cgp", "--seed", "-1"],
         {"g.cgp": "CGP1 3 3 0 0.1\n0.5 0.5 0.5\n"},
@@ -683,6 +724,24 @@ def test_signal_stops_with_one_line(tmp_path, capsys, env_keys, signum):
     total, logged = _replayed_best(tmp_path / "run", cfg, capsys)
     assert total == logged
     assert _servers_marked(str(tmp_path)) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_replay_mismatch_leaves_no_server(tmp_path, capsys):
+    # the server that answered the action count is closed by the
+    # evaluation that found the mismatch
+    path = tmp_path / "g.cgp"
+    persist.save_genome(random_genome(3, 5, 10, 0.1,
+                                      np.random.default_rng(0)), path)
+    cfg = tmp_path / "run.cfg"
+    marker = str(tmp_path)
+    cfg.write_text(f"env = ale:pong\nale_server = {_LINGER_SERVER} "
+                   f"{shlex.quote(marker)}\n")
+    assert cli.main(["replay", str(path), "--config", str(cfg)]) \
+        == cli.EXIT_GENOME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("3 actions")
+    assert _servers_marked(marker) == []
 
 
 def test_stop_inside_subprocess_is_sent_again(monkeypatch,

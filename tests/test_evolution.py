@@ -172,7 +172,9 @@ def test_serial_run_closes_its_env():
 
     register_env("closing", Closing)
     run_evolution(RunConfig(env="closing", c=10, lam=2, n_eval=4))
-    assert len(closed) == 1
+    # each of the 5 evaluations closes the env it played on, and the run
+    # closes it once more on its way out
+    assert len(closed) == 6
 
 
 def _counting_server(path, mode="ok") -> str:
@@ -257,6 +259,28 @@ def test_pooled_run_closes_the_parent_server_before_the_workers_start(
 
     run_evolution(cfg, workers=2, on_generation=on_generation)
     assert first_alive == [False]
+
+
+def test_no_server_is_alive_at_a_generation_hook(tmp_path):
+    # a serial run used to keep each generation's last server alive through
+    # mutation and the hook; every evaluation now closes its env
+    pids = tmp_path / "pids"
+    cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
+                    ale_server=_counting_server(pids, "linger"))
+    alive = []
+
+    def on_generation(state):
+        started = [int(pid) for pid in pids.read_text().split()]
+        alive.append(sum(map(_running, started)))
+
+    try:
+        run_evolution(cfg, on_generation=on_generation)
+        assert alive == [0, 0, 0]
+    finally:
+        if pids.exists():
+            for pid in map(int, pids.read_text().split()):
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def test_evolution_does_not_load_the_pool():
