@@ -1,7 +1,8 @@
 """Command line entry points: evolve, replay, export-dot.
 
-Each phase of a command names its exit code once (`_fails_as`); a failure
-leaves through `main` alone, which prints its one line and returns the code.
+Each phase of a command names its exit code once (`_fails_as`), and a command
+line the parser rejects is a config error; a failure leaves through `main`
+alone, which prints its one line and returns the code.
 A SIGINT or SIGTERM leaves the same way, as exit code 128 + its number; it
 waits while a server starts or stops, or while `persist` writes a file, and
 a command stops once: a stop that arrives while it unwinds is ignored."""
@@ -76,8 +77,13 @@ def _fails_as(code: int, *errors: type[Exception]):
         raise Failure(code, _PREFIX[code] + str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one line from main, not a usage block
+        raise Failure(EXIT_CONFIG, _PREFIX[EXIT_CONFIG] + message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pixelcgp",
         description="Evolve and inspect pixel-input CGP controllers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,19 +177,15 @@ def _to_devnull(stream) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "evolve": cmd_evolve,
-        "replay": cmd_replay,
-        "export-dot": cmd_export_dot,
-    }[args.command]
     # a stop unwinds like a failure, so the env and its server are closed on
     # the way out; the previous handlers return, as main may run in process
     previous = {sig: signal.signal(sig, _stop)
                 for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         try:
-            handler(args)
+            args = _build_parser().parse_args(argv)
+            {"evolve": cmd_evolve, "replay": cmd_replay,
+             "export-dot": cmd_export_dot}[args.command](args)
             with _fails_as(EXIT_PIPE, OSError):
                 sys.stdout.flush()   # a bad stdout fails here, not at exit
         finally:

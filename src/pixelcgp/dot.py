@@ -7,14 +7,11 @@ edges are solid, y-input edges dashed. Output is byte-deterministic.
 
 from __future__ import annotations
 
-from .genome import Genome, Program, decode
+from .genome import Genome, decode
 
 
 def export_dot(genome: Genome) -> str:
-    return program_dot(decode(genome))
-
-
-def program_dot(program: Program) -> str:
+    program = decode(genome)
     lines = ["digraph cgp {", "  rankdir=LR;"]
     for n in program.reads:
         lines.append(f'  n{n} [shape=box, label="in{n}"];')

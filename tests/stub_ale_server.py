@@ -31,7 +31,9 @@ Modes:
   short    send a truncated frame and exit
 
 Tests start it through `command`, the shell command a config's ale_server
-holds, quoted so that a path with a space in it stays one word.
+holds, quoted so that a path with a space in it stays one word. When
+STUB_PIDS names a file, each server appends its PID to it as it starts, so
+that a test can count the servers it started and find any still running.
 """
 
 import os
@@ -48,7 +50,28 @@ def command(mode, *args) -> str:
     return shlex.join([sys.executable, STUB, mode, *map(str, args)])
 
 
+def started(pids) -> list[int]:
+    """The PIDs of the servers recorded in the file pids, in start order."""
+    try:
+        with open(pids) as fh:
+            return [int(pid) for pid in fh.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def running(pid) -> bool:
+    """Whether process pid exists; an unreaped zombie counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def main():
+    if "STUB_PIDS" in os.environ:
+        with open(os.environ["STUB_PIDS"], "a") as fh:
+            fh.write(f"{os.getpid()}\n")
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
     if mode == "stubborn":
         signal.signal(signal.SIGTERM, signal.SIG_IGN)

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 
-from pixelcgp.dot import export_dot, program_dot
+from pixelcgp.dot import export_dot
 from pixelcgp.genome import decode, random_genome, trace_active
 
 from catch_tracker import _Builder, build_tracker
@@ -34,7 +34,7 @@ def test_dot_deterministic():
 
 def test_dot_edges_reference_declared_nodes():
     genome = random_genome(3, 3, 40, 0.1, np.random.default_rng(6))
-    text = program_dot(decode(genome))
+    text = export_dot(genome)
     declared = set(re.findall(r"^  (n\d+|out\d+) \[", text, re.M))
     for src, dst in re.findall(r"^  (n\d+) -> (n\d+|out\d+)", text, re.M):
         assert src in declared and dst in declared

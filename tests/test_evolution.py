@@ -1,6 +1,4 @@
 import os
-import shlex
-import signal
 import subprocess
 import sys
 
@@ -15,7 +13,7 @@ from pixelcgp.evolution import (MAX_GENERATION_GENES, RunConfig,
                                 run_evolution)
 from pixelcgp.genome import random_genome
 
-from stub_ale_server import command
+from stub_ale_server import command, running, started
 
 
 def test_generation_count():
@@ -177,31 +175,24 @@ def test_serial_run_closes_its_env():
     assert len(closed) == 6
 
 
-def _counting_server(path, mode="ok") -> str:
-    """Stub server command that appends its PID to path on every start."""
-    return shlex.join(["sh", "-c", f"echo $$ >> {shlex.quote(str(path))}; "
-                                   f"exec {command(mode)}"])
-
-
-def test_ale_serial_and_parallel_logs_match(tmp_path):
+def test_ale_serial_and_parallel_logs_match(stub_pids):
     # ale_server must reach the parent's env and every worker's env; at
     # seed 4 the elite improves in both generations
+    cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
+                    ale_server=command("ok"))
     logs, starts = {}, {}
     for workers in (1, 2):
-        count = tmp_path / f"starts{workers}"
-        cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
-                        ale_server=_counting_server(count))
+        before = len(started(stub_pids))
         logs[workers] = []
         run_evolution(cfg, workers=workers,
                       on_generation=lambda s: logs[workers].append(s.line()))
-        starts[workers] = len(count.read_text().splitlines())
+        starts[workers] = len(started(stub_pids)) - before
     assert len({line.split()[-1] for line in logs[1]}) == 3
     assert logs[1] == logs[2]
     # one server per episode (9), the first of them started to learn the
     # action count; in parallel runs too, as the parent's env plays
     # generation 0 in that session
-    assert starts[1] == 9
-    assert starts[2] == 9
+    assert starts == {1: 9, 2: 9}
 
 
 @pytest.mark.parametrize("mode", ["reorder", "shrink"])
@@ -218,69 +209,41 @@ def test_pooled_run_checks_every_session_against_the_first(tmp_path, mode):
             run_evolution(cfg, workers=workers)
 
 
-def _running(pid) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-def test_pool_workers_close_their_envs(tmp_path):
+def test_pool_workers_close_their_envs(stub_pids):
     # each pool task closes its copy of the env; a linger server that a
-    # task left open would outlive the run
-    pids = tmp_path / "pids"
+    # task left open would outlive the run by a minute
     cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
-                    ale_server=_counting_server(pids, "linger"))
-    try:
-        run_evolution(cfg, workers=2)
-        started = [int(pid) for pid in pids.read_text().split()]
-        assert len(started) == 9
-        assert not any(map(_running, started))
-    finally:
-        if pids.exists():
-            for pid in map(int, pids.read_text().split()):
-                if _running(pid):
-                    os.kill(pid, signal.SIGKILL)
+                    ale_server=command("linger"))
+    run_evolution(cfg, workers=2)
+    assert len(started(stub_pids)) == 9
+    assert not any(map(running, started(stub_pids)))
 
 
 def test_pooled_run_closes_the_parent_server_before_the_workers_start(
-        tmp_path):
+        stub_pids):
     # the parent's env plays only generation 0; a server it kept open
     # would live, with its pipes open in every worker, until the run ends
-    pids = tmp_path / "pids"
     cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
-                    ale_server=_counting_server(pids))
+                    ale_server=command("linger"))
     first_alive = []
 
     def on_generation(state):
         if state.generation == 1:
-            first_alive.append(_running(int(pids.read_text().split()[0])))
+            first_alive.append(running(started(stub_pids)[0]))
 
     run_evolution(cfg, workers=2, on_generation=on_generation)
     assert first_alive == [False]
 
 
-def test_no_server_is_alive_at_a_generation_hook(tmp_path):
+def test_no_server_is_alive_at_a_generation_hook(stub_pids):
     # a serial run used to keep each generation's last server alive through
     # mutation and the hook; every evaluation now closes its env
-    pids = tmp_path / "pids"
     cfg = RunConfig(env="ale:pong", c=10, lam=4, n_eval=8, seed=4,
-                    ale_server=_counting_server(pids, "linger"))
+                    ale_server=command("linger"))
     alive = []
-
-    def on_generation(state):
-        started = [int(pid) for pid in pids.read_text().split()]
-        alive.append(sum(map(_running, started)))
-
-    try:
-        run_evolution(cfg, on_generation=on_generation)
-        assert alive == [0, 0, 0]
-    finally:
-        if pids.exists():
-            for pid in map(int, pids.read_text().split()):
-                if _running(pid):
-                    os.kill(pid, signal.SIGKILL)
+    run_evolution(cfg, on_generation=lambda s: alive.append(
+        sum(map(running, started(stub_pids)))))
+    assert alive == [0, 0, 0]
 
 
 def test_evolution_does_not_load_the_pool():
