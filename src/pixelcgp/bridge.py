@@ -24,6 +24,8 @@ the full 18-action controller table.
 
 AleBridgeEnv starts exactly one server per episode; no server is started
 only to learn the action count (the first episode's session answers it).
+A session's start and close run inside envs.held_stops; its handshake does
+not, so that a stop ends a wait on a server that never answers.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import subprocess
 
 import numpy as np
 
-from .envs import EnvError, Observation
+from .envs import EnvError, Observation, held_stops
 
 # Full controller action table; games expose a subset via the handshake.
 ACTION_TABLE = [
@@ -60,17 +62,18 @@ class BridgeSession:
     """One emulator process speaking the framed protocol for one episode."""
 
     def __init__(self, server_cmd: str, rom: str):
-        try:
-            self.proc = subprocess.Popen(shlex.split(server_cmd),
-                                         stdin=subprocess.PIPE,
-                                         stdout=subprocess.PIPE)
-        except (OSError, ValueError) as exc:   # ValueError: a NUL byte
-            raise EnvError(f"cannot start emulator server: {exc}") from exc
-        try:
+        with contextlib.ExitStack() as closing:   # until the handshake ends
+            with held_stops():
+                try:
+                    self.proc = subprocess.Popen(shlex.split(server_cmd),
+                                                 stdin=subprocess.PIPE,
+                                                 stdout=subprocess.PIPE)
+                except (OSError, ValueError) as exc:   # ValueError: a NUL byte
+                    raise EnvError(
+                        f"cannot start emulator server: {exc}") from exc
+                closing.callback(self.close)   # before a held stop is raised
             self._handshake(rom)
-        except BaseException:
-            self.close()
-            raise
+            closing.pop_all()
 
     def _send(self, line: str) -> None:
         try:
@@ -133,6 +136,7 @@ class BridgeSession:
             3, self.height, self.width)
         return Observation.from_frame(frame), reward, done
 
+    @held_stops()   # cut short, a close would leave the server running
     def close(self) -> None:
         if self.proc.poll() is None:
             self.proc.terminate()

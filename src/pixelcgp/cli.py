@@ -4,8 +4,8 @@ Each phase of a command names its exit code once (`_fails_as`), and a command
 line the parser rejects is a config error; a failure leaves through `main`
 alone, which prints its one line and returns the code.
 A SIGINT or SIGTERM leaves the same way, as exit code 128 + its number; it
-waits while a server starts or stops, or while `persist` writes a file, and
-a command stops once: a stop that arrives while it unwinds is ignored."""
+waits in `envs.held_stops` (a server's start and close, `persist`'s record),
+and a command stops once: a stop that arrives while it unwinds is ignored."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import contextlib
 import os
 import signal
 import sys
-import threading
 
 from . import envs, evolution, persist
 from .dot import export_dot
@@ -26,37 +25,19 @@ EXIT_CONFIG = 2
 EXIT_ENV = 3
 EXIT_GENOME = 4
 
-# seconds before a held stop is sent again
-_STOP_RETRY_S = 0.01
-# the timer that sends the last held stop again, which main waits for
-_resend: threading.Timer | None = None
-
 _PREFIX = {EXIT_PIPE: "output error: ", EXIT_CONFIG: "config error: ",
            EXIT_ENV: "environment error: ", EXIT_GENOME: "genome error: "}
 
 
 class Failure(BaseException):
     """A failed or stopped command: args are its exit code and the line main
-    prints. A BaseException, as KeyboardInterrupt is, so that a stop passes
-    every `except Exception` on its way out."""
+    prints, None after --help. A BaseException, as KeyboardInterrupt is, so
+    that a stop passes every `except Exception` on its way out."""
 
 
 def _stop(signum, frame):
-    # raised inside subprocess, where a server is being started or released,
-    # the stop would orphan that server or be swallowed by a finalizer, and
-    # inside persist it could leave the run's files from different elites,
-    # so the stop is held: the main thread is sent the signal again shortly,
-    # once for all the stops held meanwhile, as the last one
-    global _resend
-    while frame is not None:
-        if frame.f_globals.get("__name__") in ("subprocess", persist.__name__):
-            if _resend is not None:
-                _resend.cancel()
-            _resend = threading.Timer(_STOP_RETRY_S, signal.pthread_kill,
-                                      (threading.main_thread().ident, signum))
-            _resend.start()
-            return
-        frame = frame.f_back
+    if envs.hold_stop(signum):   # raised again as the hold ends
+        return
     # the command stops once: a later stop would cut its clean-up short, so
     # it is dropped until main restores the previous handlers. Nothing starts
     # a server while a command unwinds, so no process inherits SIG_IGN.
@@ -80,6 +61,9 @@ def _fails_as(code: int, *errors: type[Exception]):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # one line from main, not a usage block
         raise Failure(EXIT_CONFIG, _PREFIX[EXIT_CONFIG] + message)
+
+    def exit(self, status=0, message=None):   # --help: main returns status
+        raise Failure(status, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,7 +157,8 @@ def cmd_export_dot(args) -> None:
 def _to_devnull(stream) -> None:
     """Point stream's file at devnull, so that what is still buffered for it
     cannot fail again in the flush at exit (Python's SIGPIPE note)."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
 
 
 def main(argv=None) -> int:
@@ -182,23 +167,17 @@ def main(argv=None) -> int:
     previous = {sig: signal.signal(sig, _stop)
                 for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
-        try:
-            args = _build_parser().parse_args(argv)
-            {"evolve": cmd_evolve, "replay": cmd_replay,
-             "export-dot": cmd_export_dot}[args.command](args)
-            with _fails_as(EXIT_PIPE, OSError):
-                sys.stdout.flush()   # a bad stdout fails here, not at exit
-        finally:
-            # a stop held as the command ends is sent again after main
-            # would return: wait for it here, where _stop still handles it
-            if _resend is not None:
-                _resend.join()
+        args = _build_parser().parse_args(argv)
+        {"evolve": cmd_evolve, "replay": cmd_replay,
+         "export-dot": cmd_export_dot}[args.command](args)
+        with _fails_as(EXIT_PIPE, OSError):
+            sys.stdout.flush()   # a bad stdout fails here, not at exit
     except Failure as failure:
         code, line = failure.args
         if code == EXIT_PIPE:
             _to_devnull(sys.stdout)
-        # stdout closed early (`| head`) stops quietly
-        if not isinstance(failure.__cause__, BrokenPipeError):
+        # stdout closed early (`| head`) stops quietly, as --help ends
+        if line and not isinstance(failure.__cause__, BrokenPipeError):
             try:
                 print(line, file=sys.stderr)
             except OSError:   # an unwritable stderr leaves the code as is

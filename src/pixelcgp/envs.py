@@ -27,6 +27,9 @@ and the interpreter can be exercised end to end in microsecond episodes.
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 
 from .genome import Program, select_action
@@ -35,6 +38,30 @@ from .genome import Program, select_action
 class EnvError(Exception):
     """A failure of the environment itself: a contract violation, such as
     stepping a finished episode, or an emulator server that fails."""
+
+
+_held = [0, None]   # the open holds, and the last stop recorded in them
+
+
+@contextlib.contextmanager
+def held_stops():
+    """A section that a stop recorded by hold_stop waits for: leaving the
+    outermost hold raises the last one at once, and forgets it."""
+    _held[0] += 1
+    try:
+        yield
+    finally:
+        _held[0] -= 1
+        if not _held[0] and _held[1]:
+            signum, _held[1] = _held[1], None
+            signal.raise_signal(signum)
+
+
+def hold_stop(signum: int) -> bool:
+    """Whether a hold is open; if one is, it holds signum from now on."""
+    if _held[0]:
+        _held[1] = signum
+    return bool(_held[0])
 
 
 N_INPUT_PLANES = 3

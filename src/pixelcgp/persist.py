@@ -14,7 +14,7 @@ Only `open_run` writes evolve's run directory: log.txt, and the elite's
 pair, best.cgp, its genome, and best.seed, the eval seed of its logged
 fitness as one decimal line. The pair, like every genome file, is written
 to `<path>.tmp` and renamed over `<path>`, so a reader never sees part of
-one. The CLI holds a stop while this module writes.
+one. `record` holds a stop while it writes (envs.held_stops).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .envs import held_stops
 from .evolution import RunConfig
 from .genome import Genome
 
@@ -83,6 +84,7 @@ def open_run(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     saved = None   # the elite the pair holds
     with open(os.path.join(out_dir, "log.txt"), "a", buffering=1) as log_fh:
+        @held_stops()   # a stop waits until the pair and the line are written
         def record(state) -> None:
             nonlocal saved
             if saved is None:

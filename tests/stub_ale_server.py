@@ -10,6 +10,7 @@ Modes:
   linger   as ok, but keep running for a minute after end of input
   stubborn as ok, but ignore SIGTERM
   err      reject the handshake
+  mute     read INIT and never answer; exit a minute later
   empty    announce a 0x0 screen
   negative announce a -4x3 screen
   huge     announce a 60000x60000 screen, far above the client's frame cap
@@ -88,6 +89,9 @@ def main():
     for raw in sys.stdin.buffer:
         parts = raw.decode().split()
         if parts[0] == "INIT":
+            if mode == "mute":
+                time.sleep(60)
+                return
             if mode == "err":
                 out.write(b"ERR no such rom\n")
                 out.flush()

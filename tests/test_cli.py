@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import pixelcgp
-from pixelcgp import cli, functions, persist
+from pixelcgp import cli, envs, functions, persist
 from pixelcgp.envs import Catch, register_env
 from pixelcgp.evolution import eval_seed_for
 from pixelcgp.genome import random_genome
 
 from catch_tracker import build_tracker
-from stub_ale_server import command
+from stub_ale_server import command, running, started
 
 _SMALL_RUN = "c = 10\nn_eval = 4\nlambda = 2\n"
 _ERR_SERVER = command("err")
@@ -195,7 +195,7 @@ def test_stop_between_the_pair_writes_waits_for_both(tmp_path, capsys,
             signal.raise_signal(signal.SIGTERM)
 
     monkeypatch.setattr(os, "replace", replace_then_stop)
-    # long enough to be still running when the stop is sent again
+    # long enough that only the stop ends it
     cfg.write_text("c = 10\nlambda = 2\nn_eval = 10000\n")
     assert cli.main(["evolve", "--config", str(cfg),
                      "--out", str(run)]) == 128 + signal.SIGTERM
@@ -385,6 +385,10 @@ _ERROR_PREFIX = {cli.EXIT_PIPE: "output error: ",
 
 
 @pytest.mark.parametrize("argv, files, code", [
+    # --help is no failure: its usage goes to stdout and main returns 0,
+    # where it used to raise SystemExit(0)
+    pytest.param(["--help"], {}, cli.EXIT_OK, id="help"),
+    pytest.param(["evolve", "--help"], {}, cli.EXIT_OK, id="evolve-help"),
     # command lines argparse rejects used to print its usage block, exit 2,
     # and raise SystemExit out of main
     pytest.param(
@@ -563,8 +567,12 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, files, code):
         path.write_bytes(content if isinstance(content, bytes)
                          else content.encode())
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == code
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(_ERROR_PREFIX[code])
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        assert out.startswith("usage: pixelcgp") and err == ""
+    else:
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(_ERROR_PREFIX[code])
 
 
 class _LogCountingCatch(Catch):
@@ -653,6 +661,26 @@ def test_stdout_on_full_device_is_output_error(tmp_path, command):
             "best.cgp", "best.seed", "log.txt"]
 
 
+def _next_fd() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+@_NO_DEV_FULL
+def test_output_error_leaves_no_descriptor_open(tmp_path, capsys,
+                                                monkeypatch):
+    # each output error left open the devnull descriptor that stdout was
+    # pointed at, one more per in-process call
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        before = _next_fd()
+        assert cli.main(["export-dot", str(path)]) == cli.EXIT_PIPE
+        assert _next_fd() == before
+
+
 @_NO_DEV_FULL
 def test_stderr_on_full_device_keeps_exit_code(tmp_path):
     # the failed print of the one line used to end in a traceback, exit 1
@@ -679,6 +707,23 @@ def test_defect_during_play_is_a_traceback(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == ""
 
 
+def _stop_cli_when(ready, signum, *argv):
+    """Run the CLI with argv, send it signum once ready() holds, and return
+    its exit code and its standard error's lines."""
+    cmd, env = _cli_cmd(*argv)
+    with subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not ready():
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.02)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    return proc.returncode, err.decode().splitlines()
+
+
 @pytest.mark.parametrize("env_keys", [
     pytest.param("", id="catch"),
     pytest.param(f"env = ale:pong\nale_server = {_LINGER_SERVER}\n",
@@ -692,54 +737,45 @@ def test_signal_stops_with_one_line(tmp_path, capsys, env_keys, signum):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(env_keys)
     log = tmp_path / "run" / "log.txt"
-    cmd, env = _cli_cmd("evolve", "--config", cfg, "--out", tmp_path / "run")
-    with subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE) as proc:
-        try:
-            deadline = time.monotonic() + 60
-            while not (log.exists() and log.read_text().count("\n") >= 2):
-                assert time.monotonic() < deadline and proc.poll() is None
-                time.sleep(0.02)
-            proc.send_signal(signum)
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-    assert proc.returncode == 128 + signum
-    assert err.decode().splitlines() == [
-        f"stopped by {signal.Signals(signum).name}"]
+    assert _stop_cli_when(
+        lambda: log.exists() and log.read_text().count("\n") >= 2, signum,
+        "evolve", "--config", cfg, "--out", tmp_path / "run") == (
+        128 + signum, [f"stopped by {signal.Signals(signum).name}"])
     total, logged = _replayed_best(tmp_path / "run", cfg, capsys)
     assert total == logged
 
 
-def test_stop_inside_subprocess_is_sent_again(monkeypatch,
-                                              previous_handlers):
-    # raised there, a stop orphaned a server being started, or vanished in
-    # the Popen finalizer that ran when a session was dropped; raised in
-    # persist, it could leave the run's files from different elites
-    sent = []
-    monkeypatch.setattr(signal, "pthread_kill",
-                        lambda ident, signum: sent.append(signum))
-    monkeypatch.setattr(cli, "_resend", None)   # which main would wait for
-    # long enough that the first re-send is still pending at the second stop
-    monkeypatch.setattr(cli, "_STOP_RETRY_S", 0.2)
-    timers = []
-    for module, signum in ((subprocess, signal.SIGTERM),
-                           (persist, signal.SIGINT)):
-        frame = eval("__import__('sys')._getframe()", vars(module))
-        assert cli._stop(signum, frame) is None
-        timers.append(cli._resend)
-    # one re-send is pending at a time: the last stop held replaces it
-    first, last = timers
-    assert first is not last and first.finished.is_set()
-    for timer in timers:
-        timer.join(timeout=10)
-        assert not timer.is_alive()
-    assert sent == [signal.SIGINT]
+def test_stop_ends_a_handshake_no_server_answers(tmp_path, stub_pids):
+    # the handshake is not held: held there, a stop would wait forever on a
+    # server that never answers
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"env = ale:pong\nale_server = {command('mute')}\n")
+    assert _stop_cli_when(
+        lambda: started(stub_pids), signal.SIGTERM,
+        "evolve", "--config", cfg, "--out", tmp_path / "run") == (
+        143, ["stopped by SIGTERM"])
+    assert len(started(stub_pids)) == 1
+    assert not running(started(stub_pids)[0])
+
+
+def test_nested_holds_raise_the_last_stop_once(previous_handlers):
+    # a held stop used to be sent again by a timer thread, which main had
+    # to wait for; now leaving the outermost hold raises it, at once
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, cli._stop)
     with pytest.raises(cli.Failure) as stop:
-        cli._stop(signal.SIGTERM, sys._getframe())
-    assert stop.value.args == (143, "stopped by SIGTERM")
+        with envs.held_stops():
+            with envs.held_stops():
+                signal.raise_signal(signal.SIGTERM)
+            signal.raise_signal(signal.SIGINT)   # the last stop wins
+    assert stop.value.args == (130, "stopped by SIGINT")
     # the command stops once: later stops are dropped while it unwinds
     assert {signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)
             } == {signal.SIG_IGN}
+    assert previous_handlers == []
+    signal.signal(signal.SIGINT, cli._stop)
+    with envs.held_stops():   # the raised stop is forgotten
+        pass
 
 
 @pytest.fixture
@@ -755,7 +791,6 @@ def previous_handlers():
 
 
 def _assert_held_stop_reported(code, capsys, previous, signum):
-    time.sleep(0.2)   # far longer than a held stop takes to be sent again
     assert previous == []
     assert code == 128 + signum
     assert capsys.readouterr().err.splitlines() == [
@@ -785,31 +820,38 @@ def test_stop_held_in_the_last_record_is_reported(tmp_path, capsys,
                                signal.SIGINT)
 
 
-def test_stop_held_in_the_last_server_close_is_reported(tmp_path, capsys,
-                                                        monkeypatch,
-                                                        previous_handlers):
-    # a stop held while Popen.wait reaped the run's last server was sent
-    # again after main had returned 0 and restored the previous handlers
-    server = command("ok")
+@pytest.mark.parametrize("where", ["start", "close"])
+def test_stop_held_at_a_server_start_or_close_is_reported(
+        tmp_path, capsys, monkeypatch, previous_handlers, where):
+    # a stop raised as Popen returned orphaned the server it had started,
+    # and one held while Popen.wait reaped the last server was sent again
+    # after main had returned 0 and restored the previous handlers
+    path = tmp_path / "tracker.cgp"
+    persist.save_genome(build_tracker(), path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"env = ale:pong\nale_server = {server}\nc = 10\n"
-                   "lambda = 2\nn_eval = 2\n")
-    waitpid, reaped = os.waitpid, []
+    cfg.write_text(f"env = ale:pong\nale_server = {command('linger')}\n")
+    popen, waitpid, servers, waited = subprocess.Popen, os.waitpid, [], set()
 
-    def waitpid_then_stop(pid, options):
-        done = waitpid(pid, options)
-        if done[0] == pid:
-            reaped.append(pid)
-            if len(reaped) == 3:   # one server per evaluation
-                signal.raise_signal(signal.SIGTERM)
-        return done
+    def popen_then_stop(*args, **kwargs):
+        servers.append(popen(*args, **kwargs))
+        if where == "start":
+            signal.raise_signal(signal.SIGTERM)
+        return servers[-1]
 
-    monkeypatch.setattr(os, "waitpid", waitpid_then_stop)
-    code = cli.main(["evolve", "--config", str(cfg),
-                     "--out", str(tmp_path / "run")])
-    assert len(reaped) == 3
+    def stop_then_waitpid(pid, options):
+        # the first wait on a server is close's poll
+        if where == "close" and pid in {s.pid for s in servers} - waited:
+            waited.add(pid)
+            signal.raise_signal(signal.SIGTERM)
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(subprocess, "Popen", popen_then_stop)
+    monkeypatch.setattr(os, "waitpid", stop_then_waitpid)
+    code = cli.main(["replay", str(path), "--config", str(cfg)])
     _assert_held_stop_reported(code, capsys, previous_handlers,
                                signal.SIGTERM)
+    # the stub census cannot see a server killed before it wrote its PID
+    assert [server.returncode is not None for server in servers] == [True]
 
 
 def test_two_stops_held_at_the_end_send_one(tmp_path, capsys, monkeypatch,
@@ -823,9 +865,7 @@ def test_two_stops_held_at_the_end_send_one(tmp_path, capsys, monkeypatch,
     def replace_then_stop(src, dst):
         replace(src, dst)
         replaced.append(os.path.basename(dst))
-        if len(replaced) == 4:   # generation 1's best.seed
-            time.sleep(0.005)
-        if len(replaced) >= 3:   # and its best.cgp
+        if len(replaced) >= 3:   # generation 1's best.cgp and best.seed
             signal.raise_signal(signal.SIGINT)
 
     monkeypatch.setattr(os, "replace", replace_then_stop)
