@@ -9,8 +9,8 @@ The wire protocol is line-framed requests with mixed text/binary replies:
     -> ACT <global action id>\n
     <- R <reward> <done 0|1>\n
        followed by 3*width*height raw bytes: red, green, blue planes,
-       row-major, one byte per pixel (scaled by 1/255 on this side, a
-       plane at a time when the program first reads it).
+       row-major, one byte per pixel (handed to envs.Observation as
+       uint8 planes, each scaled by 1/255 when the program first reads it).
 
 Requests and replies strictly alternate. Any malformed reply, short read or
 server exit raises envs.EnvError; a violation never degrades into a silent
@@ -61,7 +61,7 @@ TERM_GRACE_S = 5
 class BridgeSession:
     """One emulator process speaking the framed protocol for one episode."""
 
-    def __init__(self, server_cmd: str, rom: str):
+    def __init__(self, server_cmd: str, rom: str, env=None):
         with contextlib.ExitStack() as closing:   # until the handshake ends
             with held_stops():
                 try:
@@ -72,6 +72,8 @@ class BridgeSession:
                     raise EnvError(
                         f"cannot start emulator server: {exc}") from exc
                 closing.callback(self.close)   # before a held stop is raised
+                if env is not None:   # env.close() now closes the server
+                    env.session = self
             self._handshake(rom)
             closing.pop_all()
 
@@ -134,7 +136,7 @@ class BridgeSession:
         raw = self._recv_exact(3 * self.width * self.height)
         frame = np.frombuffer(raw, dtype=np.uint8).reshape(
             3, self.height, self.width)
-        return Observation.from_frame(frame), reward, done
+        return Observation(*frame), reward, done
 
     @held_stops()   # cut short, a close would leave the server running
     def close(self) -> None:
@@ -179,7 +181,7 @@ class AleBridgeEnv:
 
     def _start(self) -> None:
         self.close()
-        self.session = BridgeSession(self.server_cmd, self.rom)
+        BridgeSession(self.server_cmd, self.rom, self)   # sets self.session
         if self.legal_actions is None:
             self.legal_actions = self.session.legal_actions
         elif self.session.legal_actions != self.legal_actions:

@@ -2,8 +2,9 @@
 
 An environment exposes n_actions, reset(seed) -> Observation,
 step(action) -> (Observation, reward, done) and close(). Observations are
-three rows x cols pixel planes (red, green, blue) with elements in [0, 1],
-which feed straight into the [-1, 1] program domain without further scaling.
+three rows x cols pixel planes (red, green, blue): float planes in [0, 1],
+or raw 8-bit planes scaled by 1/255 on their first read. Either way the
+program reads [0, 1], inside its [-1, 1] domain without further scaling.
 close() releases what the env holds, such as an emulator server; it may be
 called more than once, and a later reset() still works. Every evaluation
 (RunConfig.score) closes the env it played on, so no emulator server
@@ -15,10 +16,10 @@ EnvError; any other exception out of an env is a defect in pixelcgp.
 
 Planes cost only what the program reads. run_episode hands the Observation
 itself to Program.step, which loads only the inputs in Program.reads: those
-an output addresses or a traced link reaches. An observation built from a
-raw 8-bit frame (Observation.from_frame, as the emulator bridge does)
-converts a plane on its first read, so a plane no traced link reaches is
-never converted, nor is the observation of a frame before a skipped one.
+an output addresses or a traced link reaches. An observation of raw 8-bit
+planes (as the emulator bridge hands over) converts a plane on its first
+read, so a plane no traced link reaches is never converted, nor is the
+observation of a frame before a skipped one.
 
 Catch is a deterministic 12x12 toy: a ball falls one row per frame and a
 three-cell paddle slides along the bottom row. It exists so that evolution
@@ -68,30 +69,22 @@ N_INPUT_PLANES = 3
 
 
 class Observation:
-    """One frame's planes; obs[i] is plane i (0 red, 1 green, 2 blue)."""
+    """One frame's planes; obs[i] is plane i (0 red, 1 green, 2 blue). A
+    uint8 plane is made plane / 255.0 on its first read and kept; any other
+    plane is returned as given."""
 
-    __slots__ = ("_planes", "_frame")
+    __slots__ = ("_planes",)
 
     def __init__(self, red: np.ndarray, green: np.ndarray, blue: np.ndarray):
         self._planes = [red, green, blue]
-        self._frame = None
-
-    @classmethod
-    def from_frame(cls, frame: np.ndarray) -> "Observation":
-        """Observation of a (3, rows, cols) uint8 frame. Plane i is made as
-        frame[i] / 255.0 when first read, bit for bit the plane a scaling of
-        the whole frame gives."""
-        obs = cls(None, None, None)
-        obs._frame = frame
-        return obs
 
     def __len__(self) -> int:
         return N_INPUT_PLANES
 
     def __getitem__(self, i: int) -> np.ndarray:
         plane = self._planes[i]
-        if plane is None:
-            plane = self._planes[i] = self._frame[i] / 255.0
+        if plane.dtype == np.uint8:
+            plane = self._planes[i] = plane / 255.0
         return plane
 
     @property

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .values import (Value, constrain_product, crop_to_common, index_from_unit,
+from .values import (Value, constrain, crop_to_common, index_from_unit,
                      scalar_of)
 
 _SQRT2 = math.sqrt(2.0)
@@ -579,12 +579,15 @@ def apply(spec: FunctionSpec, x: Value, y: Value, p: float) -> Value:
     """Evaluate a node function: constrain(p * f(x, y, p)), never raising.
 
     x and y are never mutated. A matrix result is an array of its own that
-    apply allocated: the kernel's fresh output, scaled (and, unless
-    spec.closed, clamped) in place, or one new array when the kernel
-    returned an operand or a view.
+    apply allocated. The kernel's result is fresh when it owns its memory
+    (base is None) and is neither operand; constrain scales (and, unless
+    spec.closed, clamps) only a fresh result in place, and writes any
+    other, an operand or a view, into one new array.
     """
     if spec.needs_matrix and not isinstance(x, np.ndarray):
         raw = x  # wire: scalar passes through (the p weight still applies)
     else:
         raw = spec.impl(x, y, p)
-    return constrain_product(p, raw, x, y, spec.closed)
+    fresh = (raw is not x and raw is not y and isinstance(raw, np.ndarray)
+             and raw.base is None)
+    return constrain(raw, p, fresh, spec.closed)

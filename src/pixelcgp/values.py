@@ -8,8 +8,8 @@ is the single convention for every flattening and indexing operation.
 Values are treated as immutable: no function in this package mutates a
 matrix it received or handed out. Writes go only into arrays allocated in
 the same functions.apply call: the kernels' out= targets, the row _push
-fills, and a raw result that constrain_product scales in place only when
-it owns its memory and is neither operand. So every matrix node output is
+fills, and a kernel result that apply passes to constrain as fresh: one
+that owns its memory and is neither operand. So every matrix node output is
 an array of its own, never a view.
 
 Importing this module sets glibc's malloc thresholds for the whole process,
@@ -64,45 +64,34 @@ def keep_large_arrays_in_heap(load=ctypes.CDLL) -> bool:
 keep_large_arrays_in_heap()
 
 
-def constrain(v: Value) -> Value:
-    """Replace non-finite elements with 0, clamp the rest to [-1, 1].
+def constrain(v: Value, p: float = 1.0, fresh: bool = False,
+              closed: bool = False) -> Value:
+    """p * v with non-finite elements replaced by 0 and the rest clamped to
+    [-1, 1]; constrain(v) constrains v itself.
 
-    v itself is left unchanged; a matrix result is a fresh array.
+    fresh says that a matrix v is the caller's own temporary: it is scaled
+    (and clamped) in place and returned. Otherwise v is left unchanged and a
+    matrix result is one new array, which owns its memory.
+
+    closed says that a matrix v is already finite and in [-1, 1]. Then so is
+    p * v, as |p| <= 1 and rounding is monotone, and the clamp would change
+    no bit (clip is the identity there, -0.0 included), so it is skipped.
+    Otherwise NaN and inf elements of the product are zeroed before the
+    clamp would turn inf finite. A scalar v is clamped either way.
     """
-    if not isinstance(v, np.ndarray):
-        v = float(v)
-    return constrain_product(1.0, v, v, None)
-
-
-def constrain_product(p: float, raw: Value, x: Value, y: Value,
-                      closed: bool = False) -> Value:
-    """constrain(p * raw) without mutating the operands x and y.
-
-    x and y are the values raw was computed from (None stands for no
-    operand). A matrix raw that owns its memory (raw.base is None) and is
-    neither x nor y is a temporary handed over by the caller: it is scaled
-    (and clamped) in place and returned. Any other matrix raw, an operand or
-    a view of anything, goes into one new array, which owns its memory too.
-
-    closed says that a matrix raw is already finite and in [-1, 1]. Then so
-    is p * raw, as |p| <= 1 and rounding is monotone, and the clamp would
-    change no bit (clip is the identity there, -0.0 included), so it is
-    skipped. Otherwise NaN and inf elements of the product are zeroed before
-    the clamp would turn inf finite. A scalar raw is clamped either way.
-    """
-    if isinstance(raw, np.ndarray):
-        own = raw.base is None and raw is not x and raw is not y
+    if isinstance(v, np.ndarray):
+        out = v if fresh else None
         if closed:
-            return np.multiply(p, raw, out=raw if own else None)
+            return np.multiply(p, v, out=out)
         # p = 0 times an inf element is NaN, zeroed below like any other;
-        # errstate costs about a 12x12 multiply, so closed raws skip it
+        # errstate costs about a 12x12 multiply, so closed values skip it
         with np.errstate(invalid="ignore"):
-            out = np.multiply(p, raw, out=raw if own else None)
+            out = np.multiply(p, v, out=out)
         out[~np.isfinite(out)] = 0.0
         # the method form: np.clip adds microseconds of Python dispatch,
         # which small (12x12) matrices notice
         return out.clip(-1.0, 1.0, out=out)
-    scaled = p * raw
+    scaled = p * v
     if not math.isfinite(scaled):
         return 0.0
     return min(1.0, max(-1.0, scaled))

@@ -245,15 +245,18 @@ def test_env_rejects_reordered_action_list(tmp_path):
         env.close()
 
 
-class _FrameSpy:
-    """A raw frame that records which planes are taken from it."""
+class _PlaneSpy(np.ndarray):
+    """A uint8 plane view that records each conversion made from it."""
 
-    def __init__(self, frame):
-        self.frame, self.taken = frame, []
+    def __truediv__(self, other):
+        self.converted.append(other)
+        return np.asarray(self) / other
 
-    def __getitem__(self, i):
-        self.taken.append(i)
-        return self.frame[i]
+
+def _spied(plane):
+    spy = plane.view(_PlaneSpy)
+    spy.converted = []
+    return spy
 
 
 def test_unread_planes_are_never_converted():
@@ -261,34 +264,37 @@ def test_unread_planes_are_never_converted():
     # node 3 = ADD(red, red), or ABS(red) with its untraced y on green:
     # either way the program reads plane 0 only
     for name, yi in (("ADD", 0), ("ABS", 1)):
-        spy = _FrameSpy(frame)
+        spies = [_spied(plane) for plane in frame]
         prog = Program(3, 4, [3], [(3, FUNCTIONS_BY_NAME[name], 0, yi, 1.0)])
         assert prog.reads == [0]
-        obs = Observation.from_frame(spy)
+        obs = Observation(*spies)
         prog.step(obs)
         prog.step(obs)
-        assert spy.taken == [0]
+        assert [spy.converted for spy in spies] == [[255.0], [], []]
         # a plane made on first read is bit for bit the whole frame's scaling
         assert all(map(np.array_equal, obs.planes, frame / 255.0))
+    # a float plane is handed back as given, the same object
+    planes = list(frame / 255.0)
+    obs = Observation(*planes)
+    assert all(obs[i] is plane for i, plane in enumerate(planes))
 
 
 def test_skipped_frames_are_never_converted(monkeypatch):
     # the observation before a skipped frame goes unread, and so does the
     # last one; every other observation has all three planes read
     frames, skipped = [], []
-    from_frame = Observation.from_frame.__func__
     step = envs.FrameSkip.step
 
-    def spy_from_frame(cls, frame):
-        frames.append(_FrameSpy(frame))
-        return from_frame(cls, frames[-1])
+    def spy_observation(*planes):
+        frames.append([_spied(plane) for plane in planes])
+        return Observation(*frames[-1])
 
     def spy_step(self, action_fn):
         result = step(self, action_fn)
         skipped.append(result[3])
         return result
 
-    monkeypatch.setattr(Observation, "from_frame", classmethod(spy_from_frame))
+    monkeypatch.setattr(bridge, "Observation", spy_observation)
     monkeypatch.setattr(envs.FrameSkip, "step", spy_step)
     env = AleBridgeEnv(command("long"), "pong")
     try:
@@ -299,8 +305,9 @@ def test_skipped_frames_are_never_converted(monkeypatch):
         env.close()
     assert len(frames) == len(skipped) + 1 == 40
     assert any(skipped) and not all(skipped)
-    for spy, next_skipped in zip(frames, skipped + [True]):
-        assert spy.taken == ([] if next_skipped else [0, 1, 2])
+    for spies, next_skipped in zip(frames, skipped + [True]):
+        assert [spy.converted for spy in spies] == (
+            [[]] * 3 if next_skipped else [[255.0]] * 3)
 
 
 def test_make_env_ale_route():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pixelcgp
-from pixelcgp import cli, envs, functions, persist
+from pixelcgp import bridge, cli, envs, functions, persist
 from pixelcgp.envs import Catch, register_env
 from pixelcgp.evolution import eval_seed_for
 from pixelcgp.genome import random_genome
@@ -820,12 +820,13 @@ def test_stop_held_in_the_last_record_is_reported(tmp_path, capsys,
                                signal.SIGINT)
 
 
-@pytest.mark.parametrize("where", ["start", "close"])
+@pytest.mark.parametrize("where", ["start", "started", "close"])
 def test_stop_held_at_a_server_start_or_close_is_reported(
         tmp_path, capsys, monkeypatch, previous_handlers, where):
-    # a stop raised as Popen returned orphaned the server it had started,
-    # and one held while Popen.wait reaped the last server was sent again
-    # after main had returned 0 and restored the previous handlers
+    # a stop raised as Popen returned orphaned the server it had started, as
+    # did one raised as the session's start returned, before the env held
+    # the session; one held while Popen.wait reaped the last server was sent
+    # again after main had returned 0 and restored the previous handlers
     path = tmp_path / "tracker.cgp"
     persist.save_genome(build_tracker(), path)
     cfg = tmp_path / "run.cfg"
@@ -845,8 +846,16 @@ def test_stop_held_at_a_server_start_or_close_is_reported(
             signal.raise_signal(signal.SIGTERM)
         return waitpid(pid, options)
 
+    init = bridge.BridgeSession.__init__
+
+    def start_then_stop(*args, **kwargs):   # wrapped as bench's tracer does
+        init(*args, **kwargs)
+        signal.raise_signal(signal.SIGTERM)
+
     monkeypatch.setattr(subprocess, "Popen", popen_then_stop)
     monkeypatch.setattr(os, "waitpid", stop_then_waitpid)
+    if where == "started":
+        monkeypatch.setattr(bridge.BridgeSession, "__init__", start_then_stop)
     code = cli.main(["replay", str(path), "--config", str(cfg)])
     _assert_held_stop_reported(code, capsys, previous_handlers,
                                signal.SIGTERM)

@@ -31,7 +31,10 @@ def test_constrain_scalar_always_in_range(v):
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
               elements=st.floats(width=64)))
 def test_constrain_matrix_always_in_range(m):
+    before = m.view(np.int64).copy()
     out = constrain(m)
+    # constrain(m) leaves m itself unchanged, bit for bit
+    assert np.array_equal(m.view(np.int64), before)
     assert np.all(np.isfinite(out))
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
