@@ -161,9 +161,9 @@ class AleBridgeEnv:
     The first session starts when n_actions or reset() first needs it. Its
     handshake fixes legal_actions, and it then serves the first episode.
     Every later reset() starts a fresh session, whose action list must
-    equal legal_actions, and fetches the first frame with a no-op action so
-    the controller has an observation before its first decision.
-    """
+    equal legal_actions. reset() fetches the first frame with a no-op action,
+    so the controller has an observation before its first decision; a game
+    that this action already ends is an EnvError."""
 
     def __init__(self, server_cmd: str, rom: str):
         self.server_cmd = server_cmd
@@ -194,6 +194,8 @@ class AleBridgeEnv:
             self._start()
         self.unplayed = False
         obs, _, self.done = self.session.act(NOOP)
+        if self.done:   # run_episode would step an episode already over
+            raise EnvError("the emulator ended the episode on its first frame")
         return obs
 
     def step(self, action: int) -> tuple[Observation, float, bool]:

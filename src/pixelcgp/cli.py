@@ -16,7 +16,7 @@ import signal
 import sys
 
 from . import envs, evolution, persist
-from .dot import export_dot
+from .persist import export_dot
 from .values import scalar_of
 
 EXIT_OK = 0

@@ -1,6 +1,6 @@
-"""Genome and run-configuration file formats.
+"""Text formats: a genome's CGP1 file and DOT graph, and the run config.
 
-Genome files are two text lines:
+A CGP1 genome file, which parse_genome reads back, is two text lines:
 
     CGP1 <n_input> <n_output> <C> <r>
     <gene> <gene> ...
@@ -27,7 +27,7 @@ import numpy as np
 
 from .envs import held_stops
 from .evolution import RunConfig
-from .genome import Genome
+from .genome import Genome, decode
 
 GENOME_MAGIC = "CGP1"
 
@@ -37,6 +37,29 @@ def serialize_genome(genome: Genome) -> str:
               f"{genome.C} {genome.r:.17g}")
     genes = " ".join(f"{g:.17g}" for g in genome.genes)
     return f"{header}\n{genes}\n"
+
+
+def export_dot(genome: Genome) -> str:
+    """DOT export of the active program graph.
+
+    Only active nodes appear: the inputs read as boxes, active program nodes
+    with their function and parameter, and one box per action output. x-input
+    edges are solid, y-input edges dashed. Output is byte-deterministic."""
+    program = decode(genome)
+    lines = ["digraph cgp {", "  rankdir=LR;"]
+    for n in program.reads:
+        lines.append(f'  n{n} [shape=box, label="in{n}"];')
+    for n, spec, xi, yi, p in program.plan:
+        lines.append(f'  n{n} [label="{n}:{spec.name} p={p:.2f}"];')
+        if spec.trace_x:
+            lines.append(f"  n{xi} -> n{n};")
+        if spec.trace_y:
+            lines.append(f"  n{yi} -> n{n} [style=dashed];")
+    for action, src in enumerate(program.outputs):
+        lines.append(f'  out{action} [shape=box, label="action {action}"];')
+        lines.append(f"  n{src} -> out{action};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_genome(text: str) -> Genome:

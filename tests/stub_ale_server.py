@@ -23,6 +23,7 @@ Modes:
            offer 0/3 if it exists
   reorder  as shrink, but offer 0/4/3 if the state file exists
   long     as ok, but the episode ends after 40 ACTs
+  instant  as ok, but the episode ends after its first ACT
   badline  reply garbage to ACT
   nanreward reply to ACT with a NaN reward, then a whole frame
   hugereward reply to every ACT with reward 1e308, whose sum overflows
@@ -118,7 +119,7 @@ def main():
             reward = {"nanreward": "nan", "textreward": "lots",
                       "hugereward": "1e308"}.get(mode, f"{action}.5")
             done = 2 if mode == "baddone" else int(
-                steps >= (40 if mode == "long" else 3))
+                steps >= {"long": 40, "instant": 1}.get(mode, 3))
             out.write(f"R {reward} {done}\n".encode())
             if mode == "short":
                 out.write(bytes(5))

@@ -18,15 +18,14 @@ import oracle
 from catch_tracker import build_tracker
 from test_genome import _recursive_eval
 
-from pixelcgp.dot import export_dot
 from pixelcgp.envs import (Catch, FrameSkip, Observation, episode_seeds,
                            run_episode)
 from pixelcgp.evolution import RunConfig, evaluate, mutate, run_evolution
 from pixelcgp.functions import FUNCTIONS
 from pixelcgp.genome import connection_index, decode, random_genome, \
     trace_active
-from pixelcgp.persist import (parse_config, parse_genome, serialize_config,
-                              serialize_genome)
+from pixelcgp.persist import (export_dot, parse_config, parse_genome,
+                              serialize_config, serialize_genome)
 
 _shared = {}  # genomes produced by earlier criteria, reused by later ones
 

@@ -2,8 +2,11 @@
 attributes (the tracer wraps them) and builds its environments through
 envs.register_env and envs.make_env. These tests import bench/ and run its
 untraced helpers (the micro-sweeps, the genome-set filter); they fail when
-a change to the package moves something the benchmark uses."""
+a change to the package moves something the benchmark uses. The digest rows
+run the benchmark's result gate on two blocks of each workload: a change to
+any fitness or played action fails them."""
 
+import json
 import os
 
 import numpy as np
@@ -68,3 +71,23 @@ def test_step_calls_apply_once_per_plan_entry(tracing, monkeypatch):
     assert len(program.plan) >= 5
     program.step(workloads.first_frame())
     assert calls == [spec.name for _, spec, *_ in program.plan]
+
+
+@pytest.mark.parametrize("name", ["pixel_eval", "bridge_eval"])
+def test_blocks_match_the_reference_digests(tracing, tmp_path, name):
+    # bench/run.py's gate, on input 7's first two blocks; the bridge row
+    # also checks its first frame against the in-process game
+    workloads = tracing.workloads
+    with open(os.path.join(BENCH, "reference.json")) as fh:
+        reference = json.load(fh)[name]
+    stats = str(tmp_path / "stats")
+    wl = workloads.make(name, 7, stats)
+    env = workloads.make_env(name, 7, stats)
+    try:
+        wl.check(env)
+        blocks = [wl.run_block(env, j) for j in (0, 1)]
+    finally:
+        wl.close(env)
+    assert [b["failed"] for b in blocks] == [0, 0]
+    assert {b["key"]: b["digest"] for b in blocks} == {
+        key: reference[key] for key in ("7.0", "7.1")}

@@ -245,6 +245,18 @@ def test_env_rejects_reordered_action_list(tmp_path):
         env.close()
 
 
+def test_episode_over_on_its_first_frame_is_an_env_error():
+    # run_episode used to step the finished episode, and the run failed
+    # with "step without an open episode", as if pixelcgp misused the env
+    env = AleBridgeEnv(command("instant"), "pong")
+    try:
+        with pytest.raises(EnvError, match="ended the episode on its first"):
+            run_episode(Program(3, 3, [0, 1, 2], []), env, 1, p_fskip=0.0,
+                        frame_cap=18000)
+    finally:
+        env.close()
+
+
 class _PlaneSpy(np.ndarray):
     """A uint8 plane view that records each conversion made from it."""
 

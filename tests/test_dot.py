@@ -2,8 +2,8 @@ import re
 
 import numpy as np
 
-from pixelcgp.dot import export_dot
 from pixelcgp.genome import decode, random_genome, trace_active
+from pixelcgp.persist import export_dot
 
 from catch_tracker import _Builder, build_tracker
 
