@@ -97,8 +97,8 @@ def _un(sf, mf):
 # --- mathematical -----------------------------------------------------------
 
 # Matrix kernels allocate their result once and finish it in place with
-# out=, applying the same ufuncs in the same order as the plain expression
-# in their comment, so results are bit-identical to it. Operands of a
+# out=, applying the plain expression's ufuncs in order (or, where noted, an
+# exactly equal form), so results are bit-identical to it. Operands of a
 # broadcasting kernel are two equal-shape matrices or a matrix and a scalar.
 
 def _add_m(a, b):
@@ -136,24 +136,19 @@ def _sqrtxy_m(a, b):
     return np.divide(out, _SQRT2, out=out)
 
 
-def _acos_m(m):
-    # arccos(m) / pi
-    out = np.arccos(m)
-    return np.divide(out, math.pi, out=out)
+def _divided(ufunc, den):
+    # ufunc(m) / den. k * ufunc(m) / pi, k = 2 or 4, is ufunc(m) / (pi / k):
+    # scaling by k or 1 / k is exact, so both are correctly rounded
+    # divisions of one real quotient
+    def kernel(m):
+        out = ufunc(m)
+        return np.divide(out, den, out=out)
+    return kernel
 
 
-def _asin_m(m):
-    # 2 * arcsin(m) / pi
-    out = np.arcsin(m)
-    np.multiply(2.0, out, out=out)
-    return np.divide(out, math.pi, out=out)
-
-
-def _atan_m(m):
-    # 4 * arctan(m) / pi
-    out = np.arctan(m)
-    np.multiply(4.0, out, out=out)
-    return np.divide(out, math.pi, out=out)
+_acos_m = _divided(np.arccos, math.pi)
+_asin_m = _divided(np.arcsin, math.pi / 2)   # 2 * arcsin(m) / pi
+_atan_m = _divided(np.arctan, math.pi / 4)   # 4 * arctan(m) / pi
 
 
 _add = _bin(lambda a, b: (a + b) / 2.0, _add_m)
@@ -178,10 +173,6 @@ def _inv(x, y, p):
     return _inv_scalar(x)
 
 
-def _abs(x, y, p):
-    return np.abs(x) if isinstance(x, np.ndarray) else abs(x)
-
-
 def _sqrt(x, y, p):
     if isinstance(x, np.ndarray):
         out = np.abs(x)
@@ -198,6 +189,7 @@ def _cpow(x, y, p):
 
 _ypow = _bin(lambda a, b: math.pow(abs(a), abs(b)), _ypow_m)
 _expx = _un(lambda e: (math.exp(e) - 1.0) / _EXP_DEN, _expx_m)
+_abs = _un(abs, np.abs)
 _sinx = _un(math.sin, np.sin)
 _sqrtxy = _bin(lambda a, b: math.sqrt(a * a + b * b) / _SQRT2, _sqrtxy_m)
 _acos = _un(lambda e: math.acos(e) / math.pi, _acos_m)
@@ -282,18 +274,15 @@ def _shape(a, b) -> tuple:
     return a.shape if isinstance(a, np.ndarray) else b.shape
 
 
-def _lt_m(a, b):
-    # float(a < b), the bool result written straight into float64
-    return np.less(a, b, out=np.empty(_shape(a, b)))
+def _flags(compare):
+    # float(compare(a, b)), the bool result written straight into float64
+    def kernel(a, b):
+        return compare(a, b, out=np.empty(_shape(a, b)))
+    return kernel
 
 
-def _gt_m(a, b):
-    # float(a > b)
-    return np.greater(a, b, out=np.empty(_shape(a, b)))
-
-
-_lt = _bin(lambda a, b: 1.0 if a < b else 0.0, _lt_m)
-_gt = _bin(lambda a, b: 1.0 if a > b else 0.0, _gt_m)
+_lt = _bin(lambda a, b: 1.0 if a < b else 0.0, _flags(np.less))
+_gt = _bin(lambda a, b: 1.0 if a > b else 0.0, _flags(np.greater))
 _max2 = _bin(max, np.maximum)
 _min2 = _bin(min, np.minimum)
 

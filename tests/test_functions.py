@@ -194,7 +194,8 @@ def test_output_always_constrained(spec):
 
 
 def _large_operands(rng):
-    """Atari-sized operands with signed zeros, exact zeros and +/-1 planted.
+    """Atari-sized operands with signed zeros, exact zeros, +/-1, subnormals
+    and +/-(1 - 2**-53) planted.
 
     m160 is a transposed (column-major) view, as TRANSPOSE results are, and
     the 1x65536 row a view into a bigger buffer, as capped PUSH results are.
@@ -203,6 +204,8 @@ def _large_operands(rng):
         m = rng.uniform(-1.0, 1.0, shape)
         flat = m.reshape(-1)
         flat[:8] = [0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 1.0, -1.0]
+        flat[8:16] = [5e-324, -5e-324, 1.5e-323, -2.2250738585072014e-308,
+                      1e-310, -1e-310, 1 - 2 ** -53, -(1 - 2 ** -53)]
         flat[rng.integers(0, flat.size, 64)] = 0.0
         return m
     row = plane((1, 2 * MAX_PUSH_ELEMENTS))[:, :MAX_PUSH_ELEMENTS]
